@@ -15,6 +15,7 @@ usage), 2 infeasible parameter (outside the achievable or feasible range),
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .codes import (
     shannon_entropy,
 )
 from .dimension import (
+    box_dimension,
     dimension_curve,
     fit_dimension,
     limit_dimensions,
@@ -43,8 +45,8 @@ from .dimension import (
 )
 from .equilibrium import (
     TwoCodeSystem,
+    _best_split,
     allocation_table,
-    brute_force_allocation,
     solve_equilibrium,
 )
 from .errors import (
@@ -55,6 +57,7 @@ from .errors import (
 )
 from .gibbs import beta_for_mean_length, beta_from_temperature, gibbs_state
 from .microcanonical import (
+    _temperatures,
     count_messages,
     count_messages_log,
     entropy_at,
@@ -97,7 +100,7 @@ def _load_code(path: str) -> tuple[Code, Pmf | None]:
 
 
 def _int_total(value: float, what: str = "-L") -> int:
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise UnachievableLengthError(f"{what} must be an integer number of bits, got {value}")
     return int(value)
 
@@ -120,21 +123,6 @@ class _Out:
     def close(self):
         if self._path:
             self._file.close()
-
-
-def _series_temperature(lengths: list[int], entropies: list[float], i: int) -> float:
-    """Discrete temperature at index i of an (L, S) series, with the same
-    conventions as temperature_at (signed inf on zero slope, one-sided
-    differences at the ends)."""
-    if len(lengths) < 2:
-        return math.nan
-    left = max(i - 1, 0)
-    right = min(i + 1, len(lengths) - 1)
-    ds = entropies[right] - entropies[left]
-    if ds == 0.0:
-        peak = max(range(len(entropies)), key=lambda j: (entropies[j], -j))
-        return math.inf if i <= peak else -math.inf
-    return (lengths[right] - lengths[left]) / ds
 
 
 # ---------------------------------------------------------------- subcommands
@@ -160,89 +148,63 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _windowed(support, counts_or_logs, window: float, exact: bool):
-    """Aggregate table values over [L, L+window] anchored at each support
-    point; returns the new value list aligned with support."""
-    sup = list(support)
-    out = []
-    for i, L in enumerate(sup):
-        j = i
-        if exact:
-            total = 0
-            while j < len(sup) and sup[j] <= L + window:
-                total += counts_or_logs[j]
-                j += 1
-            out.append(total)
-        else:
-            acc = -math.inf
-            while j < len(sup) and sup[j] <= L + window:
-                acc = float(np.logaddexp2(acc, counts_or_logs[j]))
-                j += 1
-            out.append(acc)
-    return out
+def _count_table(args):
+    """The message-count table of --code at -N, exact or log2 per --mode."""
+    code, _ = _load_code(args.code)
+    build = count_messages if args.mode == "exact" else count_messages_log
+    return build(code.spectrum(), args.n_symbols)
+
+
+def _windowed(support: list[int], values: list, window: float, total) -> list:
+    """total() of the values over [L, L+window] at each support point."""
+    return [
+        total(values[i : bisect.bisect_right(support, L + window)])
+        for i, L in enumerate(support)
+    ]
 
 
 def _cmd_omega(args) -> int:
-    code, _ = _load_code(args.code)
-    spectrum = code.spectrum()
+    table = _count_table(args)
     exact = args.mode == "exact"
-    table = (
-        count_messages(spectrum, args.n_symbols)
-        if exact
-        else count_messages_log(spectrum, args.n_symbols)
-    )
-    support = [int(L) for L in table.support]
-    if exact:
-        counts = [table.count(L) for L in support]
-        if args.window:
-            counts = _windowed(support, counts, args.window, exact=True)
-        entropies = [math.log2(c) for c in counts]
-    else:
-        entropies = [table.log2_count(L) for L in support]
-        if args.window:
-            entropies = _windowed(support, entropies, args.window, exact=False)
-        counts = None
+    support = table.support.tolist()
+    values = [table.count(L) if exact else table.log2_count(L) for L in support]
+    if args.window:
+        values = _windowed(support, values, args.window, sum if exact else np.logaddexp2.reduce)
+    entropies = [math.log2(c) for c in values] if exact else values
+    temperatures = _temperatures(table.support, np.array(entropies))
 
     out = _Out(args.out)
     out.line("L,omega,log2_omega,S,T")
-    for i, L in enumerate(support):
-        omega_cell = str(counts[i]) if counts is not None else ""
-        s_cell = _fmt(entropies[i])
-        t_cell = _fmt(_series_temperature(support, entropies, i))
-        out.line(f"{L},{omega_cell},{s_cell},{s_cell},{t_cell}")
+    for L, value, s, t in zip(support, values, entropies, temperatures):
+        omega_cell = str(value) if exact else ""
+        s_cell = _fmt(s)
+        out.line(f"{L},{omega_cell},{s_cell},{s_cell},{_fmt(t)}")
     out.close()
     return 0
 
 
 def _cmd_temperature(args) -> int:
-    code, _ = _load_code(args.code)
-    spectrum = code.spectrum()
-    table = (
-        count_messages(spectrum, args.n_symbols)
-        if args.mode == "exact"
-        else count_messages_log(spectrum, args.n_symbols)
-    )
+    table = _count_table(args)
+    star = args.total_bits is None
+    total = most_probable_length(table) if star else _int_total(args.total_bits)
+    est = temperature_at(table, total)
+    entropy = entropy_at(table, total)
+    at = "_at_L_star" if star else ""
     out = _Out(args.out)
-    if args.total_bits is not None:
-        total = _int_total(args.total_bits)
-        est = temperature_at(table, total)
-        out.line(f"L={total}")
-        out.line(f"S={_fmt(entropy_at(table, total))}")
-        out.line(f"T={_fmt(est.value)}")
-        out.line(f"one_sided={'true' if est.one_sided else 'false'}")
+    if star:
+        out.line(f"L_star={total}")
+        out.line(f"L_star_over_N={_fmt(total / args.n_symbols)}")
     else:
-        star = most_probable_length(table)
-        est = temperature_at(table, star)
-        out.line(f"L_star={star}")
-        out.line(f"L_star_over_N={_fmt(star / args.n_symbols)}")
-        out.line(f"S_at_L_star={_fmt(entropy_at(table, star))}")
-        out.line(f"T_at_L_star={_fmt(est.value)}")
-        out.line(f"one_sided={'true' if est.one_sided else 'false'}")
+        out.line(f"L={total}")
+    out.line(f"S{at}={_fmt(entropy)}")
+    out.line(f"T{at}={_fmt(est.value)}")
+    out.line(f"one_sided={'true' if est.one_sided else 'false'}")
     out.close()
     return 0
 
 
-def _gibbs_row(out: _Out, state) -> None:
+def _write_gibbs_row(out_path: str | None, state) -> None:
+    out = _Out(out_path)
     out.line("beta,T,Z,lambda,H_G")
     out.line(
         ",".join(
@@ -255,15 +217,13 @@ def _gibbs_row(out: _Out, state) -> None:
             ]
         )
     )
+    out.close()
 
 
 def _cmd_gibbs(args) -> int:
     code, _ = _load_code(args.code)
     beta = args.beta if args.beta is not None else beta_from_temperature(args.temp)
-    state = gibbs_state(code.spectrum(), beta)
-    out = _Out(args.out)
-    _gibbs_row(out, state)
-    out.close()
+    _write_gibbs_row(args.out, gibbs_state(code.spectrum(), beta))
     return 0
 
 
@@ -279,10 +239,7 @@ def _cmd_solve_temp(args) -> int:
             raise CodeError("need --lambda, or -L together with -N")
         target = args.total_bits / args.n_symbols
     beta = beta_for_mean_length(spectrum, target)
-    state = gibbs_state(spectrum, beta)
-    out = _Out(args.out)
-    _gibbs_row(out, state)
-    out.close()
+    _write_gibbs_row(args.out, gibbs_state(spectrum, beta))
     return 0
 
 
@@ -295,20 +252,19 @@ def _cmd_equilibrium(args) -> int:
         spectrum_second=code2.spectrum(),
         n_second=args.n_second,
     )
-    out = _Out(args.out)
     if args.brute:
         total = _int_total(args.total_bits)
         rows = allocation_table(system, total)
+        if not rows:
+            raise UnachievableLengthError(f"no achievable split of {total} bits")
+        out = _Out(args.out)
         out.line("L_I,L_II,omega_I,omega_II,product")
         for bits1, bits2, c1, c2, product in rows:
             out.line(f"{bits1},{bits2},{c1},{c2},{product}")
-        if rows:
-            out.note("L_I_star", str(brute_force_allocation(system, total)))
-        else:
-            out.close()
-            raise UnachievableLengthError(f"no achievable split of {total} bits")
+        out.note("L_I_star", str(_best_split(rows)))
     else:
         allocation = solve_equilibrium(system, args.total_bits)
+        out = _Out(args.out)
         out.line("beta_star,T_star,L_I_star,L_II_star,residual")
         out.line(
             ",".join(
@@ -346,6 +302,8 @@ def _cmd_dimension(args) -> int:
     spectrum = code.spectrum()
     betas = _parse_grid(args.grid)
     rows = dimension_curve(spectrum, betas)
+    limits = limit_dimensions(spectrum)
+    derivatives = None if spectrum.is_degenerate else unit_temperature_derivatives(spectrum)
     out = _Out(args.out)
     out.line("beta,T,lambda,dim")
     for beta, temperature, lam, dim in rows:
@@ -359,15 +317,13 @@ def _cmd_dimension(args) -> int:
                 ]
             )
         )
-    limits = limit_dimensions(spectrum)
     out.note("dim_T_to_0_plus", _fmt(limits.t_to_zero_plus))
     out.note("dim_T_equal_1", _fmt(limits.t_equal_one))
     out.note("dim_T_to_inf", _fmt(limits.t_to_inf))
     out.note("dim_T_to_0_minus", _fmt(limits.t_to_zero_minus))
-    if not spectrum.is_degenerate:
-        first, second = unit_temperature_derivatives(spectrum)
-        out.note("ddim_dT_at_1", _fmt(first))
-        out.note("d2dim_dT2_at_1", _fmt(second))
+    if derivatives is not None:
+        out.note("ddim_dT_at_1", _fmt(derivatives[0]))
+        out.note("d2dim_dT2_at_1", _fmt(derivatives[1]))
     out.close()
     return 0
 
@@ -376,18 +332,18 @@ def _cmd_prefixes(args) -> int:
     code, _ = _load_code(args.code)
     total = _int_total(args.total_bits)
     table = prefix_counts(code, args.n_symbols, total, n_max=args.n_max)
+    notes = {"fitted_slope": fit_dimension(table)}
+    spectrum = code.spectrum()
+    if not spectrum.is_degenerate and spectrum.l_min < total / args.n_symbols < spectrum.l_max:
+        beta = beta_for_mean_length(spectrum, total / args.n_symbols)
+        notes["matched_beta"] = beta
+        notes["dim_at_matched_beta"] = box_dimension(spectrum, beta)
     out = _Out(args.out)
     out.line("n,count,log2_count")
     for n, c in enumerate(table.counts):
         out.line(f"{n},{c},{_fmt(math.log2(c))}")
-    slope = fit_dimension(table)
-    out.note("fitted_slope", _fmt(slope))
-    spectrum = code.spectrum()
-    if not spectrum.is_degenerate and spectrum.l_min < total / args.n_symbols < spectrum.l_max:
-        beta = beta_for_mean_length(spectrum, total / args.n_symbols)
-        state = gibbs_state(spectrum, beta)
-        out.note("matched_beta", _fmt(beta))
-        out.note("dim_at_matched_beta", _fmt(beta + state.log2_z / state.mean_length))
+    for key, value in notes.items():
+        out.note(key, _fmt(value))
     out.close()
     return 0
 

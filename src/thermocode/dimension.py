@@ -45,8 +45,13 @@ def box_dimension(spectrum: LengthSpectrum, beta: float) -> float:
     beta = 0 needs no special casing, the formula already reduces to
     log2(alphabet size) / mean length there.
     """
+    return _mean_and_dimension(spectrum, beta)[1]
+
+
+def _mean_and_dimension(spectrum: LengthSpectrum, beta: float) -> tuple[float, float]:
+    """(mean length, dim) at beta, from one evaluation of the canonical sums."""
     log2_z, mean, _ = _stats(spectrum, beta)
-    return beta + log2_z / mean
+    return mean, beta + log2_z / mean
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,7 @@ def dimension_curve(
 ) -> list[tuple[float, float, float, float]]:
     """Sample the dimension curve: rows (beta, T, mean length, dim)."""
     rows = []
-    for beta in betas:
-        log2_z, mean, _ = _stats(spectrum, beta)
-        rows.append(
-            (float(beta), temperature_from_beta(float(beta)), mean, float(beta) + log2_z / mean)
-        )
+    for beta in map(float, betas):
+        mean, dim = _mean_and_dimension(spectrum, beta)
+        rows.append((beta, temperature_from_beta(beta), mean, dim))
     return rows

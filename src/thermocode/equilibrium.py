@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .codes import LengthSpectrum
 from .errors import InfeasibleError, UnachievableLengthError
-from .gibbs import _stats, temperature_from_beta
-from .microcanonical import EnsembleTable, count_messages
+from .gibbs import _LN2, _stats, temperature_from_beta
+from .microcanonical import count_messages
 from .rootfind import solve_decreasing
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "brute_force_allocation",
     "allocation_table",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,22 +125,6 @@ def solve_equilibrium(system: TwoCodeSystem, total_bits: float) -> Allocation:
     )
 
 
-def _split_products(
-    system: TwoCodeSystem, total_bits: int
-) -> tuple[EnsembleTable, EnsembleTable, list[tuple[int, int, int, int, int]]]:
-    table1 = count_messages(system.spectrum_first, system.n_first)
-    table2 = count_messages(system.spectrum_second, system.n_second)
-    rows = []
-    for bits1 in table1.support:
-        bits1 = int(bits1)
-        bits2 = total_bits - bits1
-        c1 = table1.count(bits1)
-        c2 = table2.count(bits2)
-        if c2:
-            rows.append((bits1, bits2, c1, c2, c1 * c2))
-    return table1, table2, rows
-
-
 def allocation_table(
     system: TwoCodeSystem, total_bits: int
 ) -> list[tuple[int, int, int, int, int]]:
@@ -151,7 +133,22 @@ def allocation_table(
     Rows are (bits_first, bits_second, count_first, count_second, product),
     ascending in bits_first.
     """
-    return _split_products(system, total_bits)[2]
+    table1 = count_messages(system.spectrum_first, system.n_first)
+    table2 = count_messages(system.spectrum_second, system.n_second)
+    rows = []
+    for bits1 in table1.support.tolist():
+        bits2 = total_bits - bits1
+        c2 = table2.count(bits2)
+        if c2:
+            c1 = table1.count(bits1)
+            rows.append((bits1, bits2, c1, c2, c1 * c2))
+    return rows
+
+
+def _best_split(rows: list[tuple[int, int, int, int, int]]) -> int:
+    """bits_first of the allocation_table row with the largest product;
+    ties go to the earliest row, the smallest bits_first."""
+    return max(rows, key=lambda row: row[4])[0]
 
 
 def brute_force_allocation(system: TwoCodeSystem, total_bits: int) -> int:
@@ -165,8 +162,4 @@ def brute_force_allocation(system: TwoCodeSystem, total_bits: int) -> int:
         raise UnachievableLengthError(
             f"no achievable split of {total_bits} bits for this system"
         )
-    best_bits, best_product = rows[0][0], rows[0][4]
-    for bits1, _, _, _, product in rows[1:]:
-        if product > best_product:
-            best_bits, best_product = bits1, product
-    return best_bits
+    return _best_split(rows)

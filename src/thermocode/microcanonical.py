@@ -4,8 +4,8 @@ A message of n_symbols symbols encodes to a bit string whose length is the
 sum of the individual codeword lengths.  The number of messages that encode
 to exactly L bits is the coefficient of z**L in (sum_l d_l z**l)**n_symbols,
 where d_l counts codewords of length l.  This module computes that table
-exactly (arbitrary-precision integers), in the log2 domain (numpy, for large
-n_symbols), and by literal enumeration (the oracle the other two are checked
+exactly (arbitrary-precision integers), in the log2 domain (numpy floats, no
+big integers), and by literal enumeration (the oracle the other two are checked
 against), and derives entropy and discrete temperature from it.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
@@ -40,8 +40,9 @@ __all__ = [
     "sample_messages",
 ]
 
-# Exact tables refuse to allocate more than this many coefficient cells;
-# the log-domain table has no such limit.
+# Exact tables refuse to allocate more than this many coefficient cells.  The
+# log-domain table has no cell cap and no big-integer cost, but it is built by
+# the same n_symbols - 1 convolutions, so its time still grows as N**2 * span.
 MAX_EXACT_CELLS = 1_000_000
 
 # Literal enumeration refuses more than this many messages.
@@ -81,6 +82,10 @@ class EnsembleTable:
         c = self.count(total_bits)
         return math.log2(c) if c else -math.inf
 
+    def _entropies(self) -> np.ndarray:
+        """log2 of the count at each support point."""
+        return np.array([math.log2(c) for c in self._coeffs if c])
+
     def items(self) -> Iterator[tuple[int, int]]:
         """(total_bits, count) pairs over the support, ascending."""
         for i, c in enumerate(self._coeffs):
@@ -107,28 +112,39 @@ class LogEnsembleTable:
     """log2 of the message counts, as a dense float array over the lattice.
 
     Unachievable lengths hold -inf.  Agrees with EnsembleTable to float
-    precision but scales to n_symbols in the tens of thousands.
+    precision, with no big-integer cost and no cell cap; building it still
+    takes n_symbols - 1 convolutions, about n_symbols**2 * span operations.
     """
 
-    __slots__ = ("n_symbols", "_offset", "_log2")
+    __slots__ = ("n_symbols", "_offset", "_log2", "_support")
 
     def __init__(self, n_symbols: int, offset: int, log2_counts: np.ndarray):
         self.n_symbols = n_symbols
         self._offset = offset
         self._log2 = log2_counts
+        self._support = offset + np.flatnonzero(np.isfinite(log2_counts)).astype(np.int64)
 
     @property
     def support(self) -> np.ndarray:
-        return self._offset + np.flatnonzero(np.isfinite(self._log2)).astype(np.int64)
+        """Achievable total lengths, ascending."""
+        return self._support
 
     def count(self, total_bits: int) -> float:
-        return float(2.0 ** self.log2_count(total_bits))
+        """2**log2_count(total_bits); inf once that passes the float range."""
+        try:
+            return 2.0 ** self.log2_count(total_bits)
+        except OverflowError:
+            return math.inf
 
     def log2_count(self, total_bits: int) -> float:
         i = total_bits - self._offset
         if 0 <= i < len(self._log2):
             return float(self._log2[i])
         return -math.inf
+
+    def _entropies(self) -> np.ndarray:
+        """log2 of the count at each support point."""
+        return self._log2[self._support - self._offset]
 
     def log2_array(self) -> np.ndarray:
         """The raw log2-count array; index i is total length offset + i."""
@@ -154,11 +170,6 @@ class TemperatureEstimate:
     one_sided: bool = False
 
 
-def _base_terms(spectrum: LengthSpectrum) -> list[tuple[int, int]]:
-    l_min = spectrum.l_min
-    return [(l - l_min, d) for l, d in spectrum.degeneracy.items()]
-
-
 def count_messages(
     spectrum: LengthSpectrum, n_symbols: int, max_cells: int = MAX_EXACT_CELLS
 ) -> EnsembleTable:
@@ -175,7 +186,7 @@ def count_messages(
             f"exact table needs {n_symbols * span} cells (cap {max_cells}); "
             "use the log-domain table instead"
         )
-    base = _base_terms(spectrum)
+    base = [(l - spectrum.l_min, d) for l, d in spectrum.degeneracy.items()]
     coeffs = [0] * (span + 1)
     for off, d in base:
         coeffs[off] = d
@@ -218,33 +229,32 @@ def count_messages_brute(
     return EnsembleTable(n_symbols, lo, coeffs)
 
 
-def _log_step(
-    lw: np.ndarray, base_log: list[tuple[int, float]], span: int
-) -> np.ndarray:
-    """One convolution step in the log2 domain."""
-    new = np.full(len(lw) + span, -np.inf)
-    for off, ld in base_log:
-        seg = new[off : off + len(lw)]
-        np.logaddexp2(seg, lw + ld, out=seg)
-    return new
-
-
-def _base_log_terms(spectrum: LengthSpectrum) -> list[tuple[int, float]]:
+def _log_arrays(spectrum: LengthSpectrum, n_max: int) -> Iterator[np.ndarray]:
+    """log2-count arrays for n_symbols = 1 .. n_max, each one log-sum-exp
+    convolution after the last.  Every yielded array is new and is never
+    written to again."""
     l_min = spectrum.l_min
-    return [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
+    span = spectrum.l_max - l_min
+    base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
+    lw = np.full(span + 1, -np.inf)
+    for off, ld in base:
+        lw[off] = ld
+    yield lw
+    for _ in range(n_max - 1):
+        new = np.full(len(lw) + span, -np.inf)
+        for off, ld in base:
+            seg = new[off : off + len(lw)]
+            np.logaddexp2(seg, lw + ld, out=seg)
+        lw = new
+        yield lw
 
 
 def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleTable:
     """Log-domain message-count table (log-sum-exp convolutions, numpy)."""
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    span = spectrum.l_max - spectrum.l_min
-    base = _base_log_terms(spectrum)
-    lw = np.full(span + 1, -np.inf)
-    for off, ld in base:
-        lw[off] = ld
-    for _ in range(n_symbols - 1):
-        lw = _log_step(lw, base, span)
+    for lw in _log_arrays(spectrum, n_symbols):
+        pass
     return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, lw)
 
 
@@ -254,19 +264,12 @@ def iter_log_tables(
     """Yield the log-domain table for every n_symbols from 1 to n_max.
 
     Builds incrementally, so sweeping all n costs the same as building the
-    largest table once per step; each yielded table owns a copy of its array.
+    largest table once; each yielded table owns its array.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    span = spectrum.l_max - spectrum.l_min
-    base = _base_log_terms(spectrum)
-    lw = np.full(span + 1, -np.inf)
-    for off, ld in base:
-        lw[off] = ld
-    yield LogEnsembleTable(1, spectrum.l_min, lw.copy())
-    for n in range(2, n_max + 1):
-        lw = _log_step(lw, base, span)
-        yield LogEnsembleTable(n, n * spectrum.l_min, lw.copy())
+    for n, lw in enumerate(_log_arrays(spectrum, n_max), start=1):
+        yield LogEnsembleTable(n, n * spectrum.l_min, lw)
 
 
 def entropy_at(table: EnsembleTable | LogEnsembleTable, total_bits: int) -> float:
@@ -281,16 +284,25 @@ def entropy_at(table: EnsembleTable | LogEnsembleTable, total_bits: int) -> floa
     return s
 
 
-def _count_peak(table: EnsembleTable | LogEnsembleTable) -> int:
-    """Smallest total length maximizing the count (the entropy peak)."""
-    if isinstance(table, EnsembleTable):
-        best_len, best_count = None, -1
-        for L, c in table.items():
-            if c > best_count:
-                best_len, best_count = L, c
-        return best_len
-    arr = table.log2_array()
-    return int(table.offset + int(np.argmax(arr)))
+def _temperatures(lengths: np.ndarray, entropies: np.ndarray) -> np.ndarray:
+    """Discrete temperature dL/dS at every point of an ascending (L, S) series.
+
+    Central differences over the neighbouring points, one-sided at the two
+    ends.  A zero entropy difference yields a signed infinity: positive at
+    or below the entropy peak (its first maximum), negative above it.  A
+    single point has no temperature and yields nan.
+    """
+    if len(lengths) < 2:
+        return np.full(len(lengths), np.nan)
+    # Padding each end with a copy of itself makes the end differences one-sided.
+    x = np.concatenate((lengths[:1], lengths, lengths[-1:]))
+    s = np.concatenate((entropies[:1], entropies, entropies[-1:]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf entropies, zero slopes
+        ds = s[2:] - s[:-2]
+        t = (x[2:] - x[:-2]) / ds
+    flat = np.flatnonzero(ds == 0.0)
+    t[flat] = np.where(flat <= np.argmax(entropies), np.inf, -np.inf)
+    return t
 
 
 def temperature_at(
@@ -314,14 +326,8 @@ def temperature_at(
             f"no message encodes to {total_bits} bits "
             f"(achievable range {int(support[0])}..{int(support[-1])})"
         )
-    one_sided = pos == 0 or pos == len(support) - 1
-    left = int(support[max(pos - 1, 0)])
-    right = int(support[min(pos + 1, len(support) - 1)])
-    ds = table.log2_count(right) - table.log2_count(left)
-    if ds == 0.0:
-        sign = 1.0 if total_bits <= _count_peak(table) else -1.0
-        return TemperatureEstimate(sign * math.inf, one_sided)
-    return TemperatureEstimate((right - left) / ds, one_sided)
+    value = float(_temperatures(support, table._entropies())[pos])
+    return TemperatureEstimate(value, pos in (0, len(support) - 1))
 
 
 def _weight_cmp(c1: int, L1: int, c2: int, L2: int) -> int:

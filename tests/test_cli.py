@@ -164,6 +164,27 @@ def test_temperature_fractional_length_exit_two(capsys, canon_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("temperature", "--code", "@canon", "-N", "2", "-L", "@value"),
+        ("prefixes", "--code", "@canon", "-N", "2", "-L", "@value"),
+        ("equilibrium", "--code", "@canon", "--code2", "@canon", "-N", "2", "--N2", "1",
+         "-L", "@value", "--brute"),
+        ("sample", "--code", "@canon", "-N", "2", "--draws", "10", "--seed", "1",
+         "--focus-L", "@value"),
+    ],
+    ids=["temperature", "prefixes", "equilibrium-brute", "sample"],
+)
+def test_non_finite_length_exit_two(capsys, canon_path, argv, value):
+    flag = argv[argv.index("@value") - 1]
+    rc, out, err = run(capsys, *[{"@canon": canon_path, "@value": value}.get(a, a) for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} must be an integer number of bits, got {value}\n"
+
+
 # ---------------------------------------------------------------------------
 # gibbs / solve-temp
 # ---------------------------------------------------------------------------
@@ -400,6 +421,26 @@ def test_output_file_writing_and_determinism(tmp_path, canon_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "L,omega,log2_omega,S,T"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("temperature", "--code", "@canon", "-N", "3", "-L", "7"),
+        ("equilibrium", "--code", "@canon", "--code2", "@five", "-N", "1", "--N2", "1", "-L", "50"),
+        ("equilibrium", "--code", "@canon", "--code2", "@five", "-N", "1", "--N2", "1", "-L", "6",
+         "--brute"),
+        ("prefixes", "--code", "@canon", "-N", "2", "-L", "9"),
+    ],
+    ids=["temperature", "equilibrium", "equilibrium-brute", "prefixes"],
+)
+def test_failed_command_keeps_existing_out_file(tmp_path, canon_path, five_path, capsys, argv):
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"L,omega\n1,2\n")
+    argv = [{"@canon": canon_path, "@five": five_path}.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(keep)]) == 2
+    assert capsys.readouterr().out == ""
+    assert keep.read_bytes() == b"L,omega\n1,2\n"
 
 
 def test_every_subcommand_help_mentions_bits():

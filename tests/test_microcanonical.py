@@ -27,6 +27,7 @@ from thermocode import (
     sample_messages,
     temperature_at,
 )
+from thermocode.microcanonical import _temperatures
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -134,6 +135,14 @@ def test_log_table_matches_exact():
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
+def test_log_table_count_is_inf_past_the_float_range():
+    table = count_messages_log(CANON_SP, 800)
+    assert table.log2_count(1200) > 1024
+    assert table.count(1200) == math.inf
+    assert table.count(800) == 1.0  # the all-short message
+    assert table.count(799) == 0.0  # below the support
+
+
 def test_iter_log_tables_ends_like_direct_build():
     sp = CANON_SP
     tables = list(iter_log_tables(sp, 8))
@@ -213,6 +222,32 @@ def test_temperature_zero_slope_sign_convention():
     # same convention on the log-domain table
     logt = LogEnsembleTable(2, 10, np.array([0.0, 1.0, 0.0]))
     assert temperature_at(logt, 11).value == math.inf
+
+
+def _pointwise_temperature(lengths, entropies, i):
+    """Reference: one point of an (L, S) series at a time, in plain floats."""
+    if len(lengths) < 2:
+        return math.nan
+    left, right = max(i - 1, 0), min(i + 1, len(lengths) - 1)
+    ds = entropies[right] - entropies[left]
+    if ds == 0.0:
+        peak = max(range(len(entropies)), key=lambda j: (entropies[j], -j))
+        return math.inf if i <= peak else -math.inf
+    return (lengths[right] - lengths[left]) / ds
+
+
+def test_temperature_series_matches_pointwise_reference():
+    # small integer entropies force ties, plateaus and zero slopes; -inf
+    # entries give infinite and nan differences; repr() tells -0.0 from 0.0
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n = int(rng.integers(1, 10))
+        lengths = np.cumsum(rng.integers(1, 4, size=n)).astype(np.int64)
+        entropies = rng.integers(0, 4, size=n) * rng.choice([1.0, 0.3])
+        entropies[rng.random(n) < 0.1] = -math.inf
+        got = _temperatures(lengths, entropies)
+        want = [_pointwise_temperature(lengths.tolist(), entropies.tolist(), i) for i in range(n)]
+        assert [repr(float(t)) for t in got] == [repr(t) for t in want]
 
 
 def test_temperature_from_real_symmetric_table():

@@ -3,7 +3,9 @@
 Every subcommand reads a JSON code document ({"code": [{"symbol", "codeword",
 optional "prob"}, ...]}), computes one table or report, and writes CSV (or
 key=value lines) with '.' as the decimal separator and 17 significant digits,
-so repeated runs are byte identical.  Units are bits throughout; beta means
+so repeated runs are byte identical.  Side results (notes, key=value lines)
+go to stderr, or to stdout when --out FILE takes the primary output, so the
+CSV stays clean for piping.  Units are bits throughout; beta means
 inverse temperature 1/T, with beta = 0 the infinite-temperature point and
 beta = 1 the dyadic point T = 1.
 
@@ -18,7 +20,9 @@ import argparse
 import bisect
 import math
 import sys
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from itertools import chain, starmap
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +86,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x, signed_inf: bool = True) -> str:
-    """CSV cell: ints exact, floats at 17 significant digits, inf/nan literal."""
+    """CSV cell: strings as given, ints exact, floats at 17 significant
+    digits, inf/nan literal."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, int):
         return str(x)
     x = float(x)
@@ -95,6 +102,15 @@ def _fmt(x, signed_inf: bool = True) -> str:
     return f"{x:.17g}"
 
 
+def _row(*cells) -> str:
+    return ",".join(map(_fmt, cells))
+
+
+def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """The header line, then one _row line per row, formatted as it is written."""
+    return chain([header], starmap(_row, rows))
+
+
 def _load_code(path: str) -> tuple[Code, Pmf | None]:
     return parse_code(Path(path).read_text())
 
@@ -105,47 +121,32 @@ def _int_total(value: float, what: str = "-L") -> int:
     return int(value)
 
 
-class _Out:
-    """Primary output goes to --out (or stdout); side notes go to the other
-    stream so the CSV stays clean for piping."""
-
-    def __init__(self, out_path: str | None):
-        self._path = out_path
-        self._file = open(out_path, "w") if out_path else sys.stdout
-        self.note_stream = sys.stdout if out_path else sys.stderr
-
-    def line(self, text: str):
-        self._file.write(text + "\n")
-
-    def note(self, key: str, value: str):
-        self.note_stream.write(f"{key}={value}\n")
-
-    def close(self):
-        if self._path:
-            self._file.close()
-
-
 # ---------------------------------------------------------------- subcommands
+#
+# Each _cmd_* computes everything and returns (rows, notes): the primary
+# output lines and (key, value) pairs.  main() alone writes them, so a failed
+# command writes nothing and never opens --out.  Rows may be lazy, but only
+# over formatting of values already computed, so nothing fails mid-write.
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     code, pmf = _load_code(args.code)
-    out = _Out(args.out)
     spectrum = code.spectrum()
     k = kraft_sum(code)
-    out.line(f"n={len(code)}")
-    out.line(f"l_min={spectrum.l_min}")
-    out.line(f"l_max={spectrum.l_max}")
-    out.line(f"kraft={k}")
-    out.line(f"complete={'true' if k == 1 else 'false'}")
+    rows = [
+        f"n={len(code)}",
+        f"l_min={spectrum.l_min}",
+        f"l_max={spectrum.l_max}",
+        f"kraft={k}",
+        f"complete={'true' if k == 1 else 'false'}",
+    ]
     if pmf is not None:
         entropy = shannon_entropy(pmf)
         avg = average_codeword_length(code, pmf)
-        out.line(f"H={_fmt(float(entropy))}")
-        out.line(f"L_X={_fmt(float(avg))}")
-        out.line(f"optimal={'true' if is_absolutely_optimal(code, pmf) else 'false'}")
-    out.close()
-    return 0
+        rows.append(f"H={_fmt(float(entropy))}")
+        rows.append(f"L_X={_fmt(float(avg))}")
+        rows.append(f"optimal={'true' if is_absolutely_optimal(code, pmf) else 'false'}")
+    return rows, ()
 
 
 def _count_table(args):
@@ -163,7 +164,9 @@ def _windowed(support: list[int], values: list, window: float, total) -> list:
     ]
 
 
-def _cmd_omega(args) -> int:
+def _cmd_omega(args):
+    if not args.window >= 0:
+        raise CodeError(f"--window must be a non-negative number of bits, got {args.window}")
     table = _count_table(args)
     exact = args.mode == "exact"
     support = table.support.tolist()
@@ -172,62 +175,48 @@ def _cmd_omega(args) -> int:
         values = _windowed(support, values, args.window, sum if exact else np.logaddexp2.reduce)
     entropies = [math.log2(c) for c in values] if exact else values
     temperatures = _temperatures(table.support, np.array(entropies))
-
-    out = _Out(args.out)
-    out.line("L,omega,log2_omega,S,T")
-    for L, value, s, t in zip(support, values, entropies, temperatures):
-        omega_cell = str(value) if exact else ""
-        s_cell = _fmt(s)
-        out.line(f"{L},{omega_cell},{s_cell},{s_cell},{_fmt(t)}")
-    out.close()
-    return 0
+    rows = (
+        (L, value if exact else "", s, s, t)
+        for L, value, s, t in zip(support, values, entropies, temperatures)
+    )
+    return _csv("L,omega,log2_omega,S,T", rows), ()
 
 
-def _cmd_temperature(args) -> int:
+def _cmd_temperature(args):
     table = _count_table(args)
     star = args.total_bits is None
     total = most_probable_length(table) if star else _int_total(args.total_bits)
     est = temperature_at(table, total)
     entropy = entropy_at(table, total)
     at = "_at_L_star" if star else ""
-    out = _Out(args.out)
     if star:
-        out.line(f"L_star={total}")
-        out.line(f"L_star_over_N={_fmt(total / args.n_symbols)}")
+        rows = [f"L_star={total}", f"L_star_over_N={_fmt(total / args.n_symbols)}"]
     else:
-        out.line(f"L={total}")
-    out.line(f"S{at}={_fmt(entropy)}")
-    out.line(f"T{at}={_fmt(est.value)}")
-    out.line(f"one_sided={'true' if est.one_sided else 'false'}")
-    out.close()
-    return 0
+        rows = [f"L={total}"]
+    rows.append(f"S{at}={_fmt(entropy)}")
+    rows.append(f"T{at}={_fmt(est.value)}")
+    rows.append(f"one_sided={'true' if est.one_sided else 'false'}")
+    return rows, ()
 
 
-def _write_gibbs_row(out_path: str | None, state) -> None:
-    out = _Out(out_path)
-    out.line("beta,T,Z,lambda,H_G")
-    out.line(
-        ",".join(
-            [
-                _fmt(state.beta),
-                _fmt(state.temperature, signed_inf=False),
-                _fmt(state.z, signed_inf=False),
-                _fmt(state.mean_length),
-                _fmt(state.entropy),
-            ]
-        )
+def _gibbs_rows(state):
+    row = (
+        state.beta,
+        _fmt(state.temperature, signed_inf=False),
+        _fmt(state.z, signed_inf=False),
+        state.mean_length,
+        state.entropy,
     )
-    out.close()
+    return _csv("beta,T,Z,lambda,H_G", [row])
 
 
-def _cmd_gibbs(args) -> int:
+def _cmd_gibbs(args):
     code, _ = _load_code(args.code)
     beta = args.beta if args.beta is not None else beta_from_temperature(args.temp)
-    _write_gibbs_row(args.out, gibbs_state(code.spectrum(), beta))
-    return 0
+    return _gibbs_rows(gibbs_state(code.spectrum(), beta)), ()
 
 
-def _cmd_solve_temp(args) -> int:
+def _cmd_solve_temp(args):
     code, _ = _load_code(args.code)
     spectrum = code.spectrum()
     if args.lam is not None:
@@ -237,13 +226,14 @@ def _cmd_solve_temp(args) -> int:
     else:
         if args.total_bits is None or args.n_symbols is None:
             raise CodeError("need --lambda, or -L together with -N")
+        if args.n_symbols < 1:
+            raise CodeError("n_symbols must be at least 1")
         target = args.total_bits / args.n_symbols
     beta = beta_for_mean_length(spectrum, target)
-    _write_gibbs_row(args.out, gibbs_state(spectrum, beta))
-    return 0
+    return _gibbs_rows(gibbs_state(spectrum, beta)), ()
 
 
-def _cmd_equilibrium(args) -> int:
+def _cmd_equilibrium(args):
     code1, _ = _load_code(args.code)
     code2, _ = _load_code(args.code2)
     system = TwoCodeSystem(
@@ -257,28 +247,16 @@ def _cmd_equilibrium(args) -> int:
         rows = allocation_table(system, total)
         if not rows:
             raise UnachievableLengthError(f"no achievable split of {total} bits")
-        out = _Out(args.out)
-        out.line("L_I,L_II,omega_I,omega_II,product")
-        for bits1, bits2, c1, c2, product in rows:
-            out.line(f"{bits1},{bits2},{c1},{c2},{product}")
-        out.note("L_I_star", str(_best_split(rows)))
-    else:
-        allocation = solve_equilibrium(system, args.total_bits)
-        out = _Out(args.out)
-        out.line("beta_star,T_star,L_I_star,L_II_star,residual")
-        out.line(
-            ",".join(
-                [
-                    _fmt(allocation.beta_star),
-                    _fmt(allocation.temperature, signed_inf=False),
-                    _fmt(allocation.bits_first),
-                    _fmt(allocation.bits_second),
-                    _fmt(allocation.residual),
-                ]
-            )
-        )
-    out.close()
-    return 0
+        return _csv("L_I,L_II,omega_I,omega_II,product", rows), [("L_I_star", _best_split(rows))]
+    allocation = solve_equilibrium(system, args.total_bits)
+    row = (
+        allocation.beta_star,
+        _fmt(allocation.temperature, signed_inf=False),
+        allocation.bits_first,
+        allocation.bits_second,
+        allocation.residual,
+    )
+    return _csv("beta_star,T_star,L_I_star,L_II_star,residual", [row]), ()
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -289,46 +267,38 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CodeError(f"bad --grid {text!r}: {exc}") from exc
-    if count < 1 or not lo <= hi:
-        raise CodeError(f"bad --grid {text!r}: need LO <= HI and COUNT >= 1")
+    if count < 1 or not -math.inf < lo <= hi < math.inf:
+        raise CodeError(f"bad --grid {text!r}: need finite LO <= HI and COUNT >= 1")
     betas = set(np.linspace(lo, hi, count).tolist())
     if lo <= 1.0 <= hi:
         betas.add(1.0)  # the dyadic point is always sampled exactly
     return sorted(betas)
 
 
-def _cmd_dimension(args) -> int:
+def _cmd_dimension(args):
     code, _ = _load_code(args.code)
     spectrum = code.spectrum()
     betas = _parse_grid(args.grid)
-    rows = dimension_curve(spectrum, betas)
+    curve = dimension_curve(spectrum, betas)
     limits = limit_dimensions(spectrum)
-    derivatives = None if spectrum.is_degenerate else unit_temperature_derivatives(spectrum)
-    out = _Out(args.out)
-    out.line("beta,T,lambda,dim")
-    for beta, temperature, lam, dim in rows:
-        out.line(
-            ",".join(
-                [
-                    _fmt(beta),
-                    _fmt(temperature, signed_inf=False),
-                    _fmt(lam),
-                    _fmt(dim),
-                ]
-            )
-        )
-    out.note("dim_T_to_0_plus", _fmt(limits.t_to_zero_plus))
-    out.note("dim_T_equal_1", _fmt(limits.t_equal_one))
-    out.note("dim_T_to_inf", _fmt(limits.t_to_inf))
-    out.note("dim_T_to_0_minus", _fmt(limits.t_to_zero_minus))
-    if derivatives is not None:
-        out.note("ddim_dT_at_1", _fmt(derivatives[0]))
-        out.note("d2dim_dT2_at_1", _fmt(derivatives[1]))
-    out.close()
-    return 0
+    notes = [
+        ("dim_T_to_0_plus", limits.t_to_zero_plus),
+        ("dim_T_equal_1", limits.t_equal_one),
+        ("dim_T_to_inf", limits.t_to_inf),
+        ("dim_T_to_0_minus", limits.t_to_zero_minus),
+    ]
+    if not spectrum.is_degenerate:
+        first, second = unit_temperature_derivatives(spectrum)
+        notes.append(("ddim_dT_at_1", first))
+        notes.append(("d2dim_dT2_at_1", second))
+    rows = (
+        (beta, _fmt(temperature, signed_inf=False), lam, dim)
+        for beta, temperature, lam, dim in curve
+    )
+    return _csv("beta,T,lambda,dim", rows), notes
 
 
-def _cmd_prefixes(args) -> int:
+def _cmd_prefixes(args):
     code, _ = _load_code(args.code)
     total = _int_total(args.total_bits)
     table = prefix_counts(code, args.n_symbols, total, n_max=args.n_max)
@@ -338,17 +308,11 @@ def _cmd_prefixes(args) -> int:
         beta = beta_for_mean_length(spectrum, total / args.n_symbols)
         notes["matched_beta"] = beta
         notes["dim_at_matched_beta"] = box_dimension(spectrum, beta)
-    out = _Out(args.out)
-    out.line("n,count,log2_count")
-    for n, c in enumerate(table.counts):
-        out.line(f"{n},{c},{_fmt(math.log2(c))}")
-    for key, value in notes.items():
-        out.note(key, _fmt(value))
-    out.close()
-    return 0
+    rows = zip(range(len(table.counts)), table.counts, table.log2_counts())
+    return _csv("n,count,log2_count", rows), notes.items()
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     code, pmf = _load_code(args.code)
     if pmf is None:
         pmf = dyadic_pmf(code)  # fails loudly for incomplete codes
@@ -356,29 +320,21 @@ def _cmd_sample(args) -> int:
     report = sample_messages(
         code, pmf, args.n_symbols, args.draws, args.seed, focus_total=focus
     )
-    out = _Out(args.out)
-    out.line("L,count")
-    for L, c in report.histogram.items():
-        out.line(f"{L},{c}")
-    out.note("draws", str(report.draws))
-    out.note("mean_total", _fmt(report.mean_total))
-    out.note("mean_per_symbol", _fmt(report.mean_total / report.n_symbols))
+    notes = [
+        ("draws", report.draws),
+        ("mean_total", report.mean_total),
+        ("mean_per_symbol", report.mean_total / report.n_symbols),
+    ]
     if report.conditional_counts is not None:
-        out.note("focus_total", str(report.focus_total))
-        out.note("distinct_messages", str(len(report.conditional_counts)))
-        out.note("conditional_draws", str(sum(report.conditional_counts.values())))
-    out.close()
-    return 0
+        notes.append(("focus_total", report.focus_total))
+        notes.append(("distinct_messages", len(report.conditional_counts)))
+        notes.append(("conditional_draws", sum(report.conditional_counts.values())))
+    return _csv("L,count", report.histogram.items()), notes
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     code = random_complete_code(args.leaves, args.seed)
-    document = dump_code(code, dyadic_pmf(code))
-    if args.out:
-        Path(args.out).write_text(document)
-    else:
-        sys.stdout.write(document)
-    return 0
+    return dump_code(code, dyadic_pmf(code)).splitlines(), ()
 
 
 # -------------------------------------------------------------------- parser
@@ -497,7 +453,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        rows, notes = args.func(args)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            for line in rows:
+                out.write(line + "\n")
+        note_stream = sys.stdout if args.out else sys.stderr
+        for key, value in notes:
+            note_stream.write(f"{key}={_fmt(value)}\n")
+        return 0
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

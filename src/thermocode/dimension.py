@@ -160,6 +160,10 @@ def prefix_counts(
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
+    if total_bits < 0:
+        raise UnachievableLengthError(
+            f"no message of {n_symbols} codewords totals {total_bits} bits"
+        )
     spectrum = code.spectrum()
     if n_max is None:
         n_max = total_bits

@@ -110,6 +110,13 @@ def test_omega_window_aggregates_counts(capsys, canon_path):
     assert got == {3: 19, 4: 26, 5: 20, 6: 8}
 
 
+def test_omega_infinite_window_sums_tails(capsys, canon_path):
+    rc, out, _ = run(capsys, "omega", "--code", canon_path, "-N", "3", "--window", "inf")
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {int(r[0]): int(r[1]) for r in rows} == {3: 27, 4: 26, 5: 20, 6: 8}
+
+
 def test_omega_capacity_exit_three(capsys, canon_path):
     rc, _, err = run(capsys, "omega", "--code", canon_path, "-N", "3000000")
     assert rc == 3
@@ -185,6 +192,24 @@ def test_non_finite_length_exit_two(capsys, canon_path, argv, value):
     assert err == f"error: {flag} must be an integer number of bits, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega", "--code", "@canon", "-N", "3", "--window", "nan"),
+        ("omega", "--code", "@canon", "-N", "3", "--window", "-1"),
+        ("omega", "--code", "@canon", "-N", "3", "--window", "-1", "--mode", "log"),
+        ("dimension", "--code", "@canon", "--grid=0:inf:3"),
+        ("dimension", "--code", "@canon", "--grid=-inf:0:3"),
+    ],
+    ids=["window-nan", "window-negative", "window-negative-log", "grid-inf-hi", "grid-inf-lo"],
+)
+def test_bad_float_option_exit_one(capsys, canon_path, argv):
+    rc, out, err = run(capsys, *[canon_path if a == "@canon" else a for a in argv])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # gibbs / solve-temp
 # ---------------------------------------------------------------------------
@@ -251,6 +276,13 @@ def test_solve_temp_needs_one_input_form(capsys, canon_path):
     assert rc == 1
     rc, _, err = run(capsys, "solve-temp", "--code", canon_path, "--lambda", "1.5", "-L", "3", "-N", "2")
     assert rc == 1
+
+
+def test_solve_temp_zero_symbols_exit_one(capsys, canon_path):
+    rc, out, err = run(capsys, "solve-temp", "--code", canon_path, "-L", "4", "-N", "0")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: n_symbols must be at least 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +388,13 @@ def test_prefixes_table_and_fit(capsys, canon_path):
 def test_prefixes_unachievable_exit_two(capsys, canon_path):
     rc, _, err = run(capsys, "prefixes", "--code", canon_path, "-N", "2", "-L", "9")
     assert rc == 2
+
+
+def test_prefixes_negative_length_exit_two(capsys, canon_path):
+    rc, out, err = run(capsys, "prefixes", "--code", canon_path, "-N", "2", "-L", "-5")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no message of 2 codewords totals -5 bits\n"
 
 
 # ---------------------------------------------------------------------------

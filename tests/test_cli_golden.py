@@ -11,6 +11,9 @@ of dimension, prefixes and equilibrium --brute on four codes:
   step2  {0, 111}: lattice step 2 and palindromic counts, so the
          central difference hits the signed-infinity zero-slope branch
 
+Each case also runs with --out FILE: the file must hold the recorded stdout
+and stdout the recorded stderr (the notes).
+
 To re-record after an intended output change (never to paper over an
 unintended one), run from the repository root:
 
@@ -116,6 +119,23 @@ def test_cli_output_matches_golden(case, code_paths):
     assert want["argv"] == _cases()[case]
     got = _run(want["argv"], code_paths)
     assert got == {key: want[key] for key in ("rc", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_cli_out_file_matches_golden(case, code_paths, tmp_path):
+    """With --out FILE the file holds the recorded stdout and the notes move to
+    stdout; a failed run creates no file and reports on stderr as before."""
+    want = _golden()["cases"][case]
+    path = tmp_path / "out.txt"
+    got = _run([*want["argv"], "--out", str(path)], code_paths)
+    got["file"] = path.read_text() if path.exists() else None
+    ok = want["rc"] == 0
+    assert got == {
+        "rc": want["rc"],
+        "file": want["stdout"] if ok else None,
+        "stdout": want["stderr"] if ok else "",
+        "stderr": "" if ok else want["stderr"],
+    }
 
 
 if __name__ == "__main__":

@@ -9,129 +9,22 @@ box-counting dimension.  Exact integer and rational arithmetic backs every
 float path.
 """
 
-from .codes import (
-    Code,
-    LengthSpectrum,
-    Pmf,
-    average_codeword_length,
-    dump_code,
-    dyadic_pmf,
-    is_absolutely_optimal,
-    kraft_sum,
-    parse_code,
-    random_complete_code,
-    shannon_entropy,
-)
-from .dimension import (
-    DimensionLimits,
-    PrefixCountTable,
-    box_dimension,
-    dimension_curve,
-    fit_dimension,
-    limit_dimensions,
-    prefix_counts,
-    unit_temperature_derivatives,
-)
-from .equilibrium import (
-    Allocation,
-    TwoCodeSystem,
-    allocation_table,
-    brute_force_allocation,
-    solve_equilibrium,
-)
-from .errors import (
-    CapacityError,
-    CodeError,
-    DecodeError,
-    DegenerateSpectrumError,
-    DuplicateCodewordError,
-    DuplicateSymbolError,
-    InfeasibleError,
-    ParseError,
-    PrefixViolationError,
-    UnachievableLengthError,
-    UnknownSymbolError,
-)
-from .gibbs import (
-    GibbsState,
-    beta_for_mean_length,
-    beta_from_temperature,
-    boltzmann_planck_entropy,
-    gibbs_state,
-    mean_length,
-    temperature_from_beta,
-)
-from .microcanonical import (
-    EnsembleTable,
-    LogEnsembleTable,
-    SampleReport,
-    TemperatureEstimate,
-    count_messages,
-    count_messages_brute,
-    count_messages_log,
-    entropy_at,
-    iter_log_tables,
-    most_probable_length,
-    sample_messages,
-    temperature_at,
-)
+from . import codes, dimension, equilibrium, errors, gibbs, microcanonical
+from .codes import *
+from .dimension import *
+from .equilibrium import *
+from .errors import *
+from .gibbs import *
+from .microcanonical import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Code",
-    "LengthSpectrum",
-    "Pmf",
-    "parse_code",
-    "dump_code",
-    "kraft_sum",
-    "shannon_entropy",
-    "average_codeword_length",
-    "is_absolutely_optimal",
-    "dyadic_pmf",
-    "random_complete_code",
-    "EnsembleTable",
-    "LogEnsembleTable",
-    "TemperatureEstimate",
-    "SampleReport",
-    "count_messages",
-    "count_messages_brute",
-    "count_messages_log",
-    "iter_log_tables",
-    "entropy_at",
-    "temperature_at",
-    "most_probable_length",
-    "sample_messages",
-    "GibbsState",
-    "gibbs_state",
-    "mean_length",
-    "beta_for_mean_length",
-    "boltzmann_planck_entropy",
-    "beta_from_temperature",
-    "temperature_from_beta",
-    "TwoCodeSystem",
-    "Allocation",
-    "solve_equilibrium",
-    "brute_force_allocation",
-    "allocation_table",
-    "DimensionLimits",
-    "PrefixCountTable",
-    "box_dimension",
-    "limit_dimensions",
-    "unit_temperature_derivatives",
-    "prefix_counts",
-    "fit_dimension",
-    "dimension_curve",
-    "CodeError",
-    "ParseError",
-    "DuplicateSymbolError",
-    "DuplicateCodewordError",
-    "PrefixViolationError",
-    "UnknownSymbolError",
-    "DecodeError",
-    "InfeasibleError",
-    "UnachievableLengthError",
-    "DegenerateSpectrumError",
-    "CapacityError",
+    *codes.__all__,
+    *microcanonical.__all__,
+    *gibbs.__all__,
+    *equilibrium.__all__,
+    *dimension.__all__,
+    *errors.__all__,
     "__version__",
 ]

@@ -11,7 +11,8 @@ beta = 1 the dyadic point T = 1.
 
 Exit codes: 0 success, 1 invalid input (bad document, prefix violation,
 usage), 2 infeasible parameter (outside the achievable or feasible range),
-3 capacity guard (exact table too large; retry with --mode log).
+3 capacity guard (an exact count table, a prefix table or a --grid too
+large; for a count table, retry with --mode log).
 """
 
 from __future__ import annotations
@@ -259,6 +260,11 @@ def _cmd_equilibrium(args):
     return _csv("beta_star,T_star,L_I_star,L_II_star,residual", [row]), ()
 
 
+# dimension --grid refuses more sample points than this: each one costs a
+# float in a set and a row of canonical sums before anything is printed.
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -269,6 +275,8 @@ def _parse_grid(text: str) -> list[float]:
         raise CodeError(f"bad --grid {text!r}: {exc}") from exc
     if count < 1 or not -math.inf < lo <= hi < math.inf:
         raise CodeError(f"bad --grid {text!r}: need finite LO <= HI and COUNT >= 1")
+    if count > MAX_GRID_POINTS:
+        raise CapacityError(f"--grid COUNT {count} exceeds the cap {MAX_GRID_POINTS}")
     betas = set(np.linspace(lo, hi, count).tolist())
     if lo <= 1.0 <= hi:
         betas.add(1.0)  # the dyadic point is always sampled exactly
@@ -442,9 +450,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact counts can run to millions of digits (a one-length code at huge
-    # N has a single cell, so the capacity guard rightly lets it through);
-    # lift the interpreter's int-to-str cap so they print instead of raising
+    # exact counts can run to millions of digits (the capacity guard bounds
+    # a table's total bits, not the digits of one count); lift the
+    # interpreter's int-to-str cap so they print instead of raising
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import Code, LengthSpectrum
-from .errors import UnachievableLengthError
+from .errors import CapacityError, UnachievableLengthError
 from .gibbs import _stats, temperature_from_beta
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
     "fit_dimension",
     "dimension_curve",
 ]
+
+# prefix_counts refuses reachability tables of more than this many cells
+# (one byte each): canon {0, 10, 11} at N=600, L=900 needs 0.54 million.
+MAX_REACH_CELLS = 10**8
 
 
 def box_dimension(spectrum: LengthSpectrum, beta: float) -> float:
@@ -157,6 +161,9 @@ def prefix_counts(
 
     Returns:
         PrefixCountTable with exact counts for n = 0 .. n_max.
+
+    Raises CapacityError when the (n_symbols + 1) x (total_bits + 1)
+    reachability table would pass MAX_REACH_CELLS.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -169,6 +176,11 @@ def prefix_counts(
         n_max = total_bits
     if not 0 <= n_max <= total_bits:
         raise ValueError("n_max must lie in [0, total_bits]")
+    cells = (n_symbols + 1) * (total_bits + 1)
+    if cells > MAX_REACH_CELLS:
+        raise CapacityError(
+            f"prefix table needs {cells} reachability cells (cap {MAX_REACH_CELLS})"
+        )
 
     reach = _achievable_rows(spectrum, n_symbols, total_bits)
     if not reach[n_symbols, total_bits]:

@@ -3,8 +3,23 @@
 The split mirrors the CLI exit codes: CodeError and its subclasses mean the
 input itself is bad (exit 1), InfeasibleError means the inputs parse fine but
 the requested parameter point does not exist (exit 2), and CapacityError means
-an exact computation was refused because its table would be too large (exit 3).
+a computation was refused before it started because its table, result or
+sample grid would be too large (exit 3).
 """
+
+__all__ = [
+    "CodeError",
+    "ParseError",
+    "DuplicateSymbolError",
+    "DuplicateCodewordError",
+    "PrefixViolationError",
+    "UnknownSymbolError",
+    "DecodeError",
+    "InfeasibleError",
+    "UnachievableLengthError",
+    "DegenerateSpectrumError",
+    "CapacityError",
+]
 
 
 class CodeError(ValueError):
@@ -55,4 +70,4 @@ class DegenerateSpectrumError(InfeasibleError):
 
 
 class CapacityError(RuntimeError):
-    """Exact table would exceed the configured cell budget."""
+    """A table, result or grid would exceed its fixed size cap."""

@@ -40,10 +40,11 @@ __all__ = [
     "sample_messages",
 ]
 
-# Exact tables refuse to allocate more than this many coefficient cells.  The
-# log-domain table has no cell cap and no big-integer cost, but it is built by
-# the same n_symbols - 1 convolutions, so its time still grows as N**2 * span.
-MAX_EXACT_CELLS = 1_000_000
+# Exact tables refuse when their counts could need more than this many bits in
+# all (512 MiB): canon {0, 10, 11} passes up to N of about 52,000.  The
+# log-domain table has no size cap and no big-integer cost, but it is built by
+# n_symbols - 1 convolutions, so its time grows as N**2 * span.
+MAX_EXACT_BITS = 2**32
 
 # Literal enumeration refuses more than this many messages.
 MAX_BRUTE_MESSAGES = 10_000_000
@@ -112,8 +113,8 @@ class LogEnsembleTable:
     """log2 of the message counts, as a dense float array over the lattice.
 
     Unachievable lengths hold -inf.  Agrees with EnsembleTable to float
-    precision, with no big-integer cost and no cell cap; building it still
-    takes n_symbols - 1 convolutions, about n_symbols**2 * span operations.
+    precision, with no big-integer cost and no size cap; building it takes
+    n_symbols - 1 log-sum-exp convolutions, about n_symbols**2 * span operations.
     """
 
     __slots__ = ("n_symbols", "_offset", "_log2", "_support")
@@ -171,38 +172,39 @@ class TemperatureEstimate:
 
 
 def count_messages(
-    spectrum: LengthSpectrum, n_symbols: int, max_cells: int = MAX_EXACT_CELLS
+    spectrum: LengthSpectrum, n_symbols: int, max_bits: int = MAX_EXACT_BITS
 ) -> EnsembleTable:
-    """Exact message-count table by iterated polynomial convolution.
+    """Exact message-count table by J.C.P. Miller's power recurrence.
 
-    Cost grows like n_symbols**2 * (l_max - l_min), so tables larger than
-    max_cells raise CapacityError; use count_messages_log for those.
+    With N = n_symbols and a_m the count at total length N*l_min + m,
+    a_0 = d_min**N and m*d_min*a_m = sum_k ((N+1)*k - m) * d_k * a_(m-k), k over
+    the length offsets above l_min (Knuth, TAOCP vol. 2, 4.7); every division
+    is exact.  That is N*span*#lengths big-integer steps.  No count exceeds
+    n_codewords**N, so the table holds at most (N*span + 1)*N*log2(n_codewords)
+    bits.  Past max_bits it raises CapacityError before computing anything;
+    use count_messages_log for those.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    span = spectrum.l_max - spectrum.l_min
-    if n_symbols * span > max_cells:
+    l_min = spectrum.l_min
+    span = spectrum.l_max - l_min
+    bits = (n_symbols * span + 1) * n_symbols * math.log2(spectrum.n_codewords)
+    if bits > max_bits:
         raise CapacityError(
-            f"exact table needs {n_symbols * span} cells (cap {max_cells}); "
+            f"exact table needs up to {bits:.3g} bits (cap {max_bits}); "
             "use the log-domain table instead"
         )
-    base = [(l - spectrum.l_min, d) for l, d in spectrum.degeneracy.items()]
-    coeffs = [0] * (span + 1)
-    for off, d in base:
-        coeffs[off] = d
-    for _ in range(n_symbols - 1):
-        new = [0] * (len(coeffs) + span)
-        for off, d in base:
-            if d == 1:
-                for j, c in enumerate(coeffs):
-                    if c:
-                        new[j + off] += c
-            else:
-                for j, c in enumerate(coeffs):
-                    if c:
-                        new[j + off] += d * c
-        coeffs = new
-    return EnsembleTable(n_symbols, n_symbols * spectrum.l_min, coeffs)
+    d0 = spectrum.d_min
+    terms = [(l - l_min, d) for l, d in spectrum.degeneracy.items() if l > l_min]
+    coeffs = [d0**n_symbols] + [0] * (n_symbols * span)
+    for m in range(1, len(coeffs)):
+        acc = 0
+        for k, d in terms:
+            if k > m:
+                break
+            acc += ((n_symbols + 1) * k - m) * d * coeffs[m - k]
+        coeffs[m] = acc // (m * d0)
+    return EnsembleTable(n_symbols, n_symbols * l_min, coeffs)
 
 
 def count_messages_brute(
@@ -211,7 +213,7 @@ def count_messages_brute(
     """Message counts by enumerating every one of the |alphabet|**n messages.
 
     Exponentially slow by construction; this is the independent oracle the
-    convolution tables are validated against.
+    exact and log tables are validated against.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -118,14 +119,16 @@ def test_omega_infinite_window_sums_tails(capsys, canon_path):
 
 
 def test_omega_capacity_exit_three(capsys, canon_path):
-    rc, _, err = run(capsys, "omega", "--code", canon_path, "-N", "3000000")
+    rc, out, err = run(capsys, "omega", "--code", canon_path, "-N", "3000000")
     assert rc == 3
+    assert out == ""
     assert "log-domain" in err
 
 
 def test_omega_huge_degenerate_count_still_prints(capsys, tmp_path):
-    # a one-length code never trips the cell guard, so the exact count can
-    # run to hundreds of thousands of digits; it must print, not raise
+    # a one-length code has a single cell, and at 180,000 bits it passes
+    # the size guard, so the exact count runs to tens of thousands of
+    # digits; it must print, not raise
     rows = [{"symbol": f"s{i}", "codeword": format(i, "06b")} for i in range(64)]
     p = tmp_path / "wide.json"
     p.write_text(json.dumps({"code": rows}))
@@ -372,6 +375,16 @@ def test_dimension_grid_always_contains_unit_beta(capsys, canon_path):
     assert len(betas) == 5  # four grid points plus the inserted beta=1
 
 
+def test_dimension_grid_over_cap_exit_three(capsys, canon_path):
+    # refused before numpy builds the hundred-million-point grid
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "dimension", "--code", canon_path, "--grid=0:1:100000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "100000000" in err
+
+
 def test_prefixes_table_and_fit(capsys, canon_path):
     rc, out, err = run(capsys, "prefixes", "--code", canon_path, "-N", "12", "-L", "18")
     assert rc == 0
@@ -388,6 +401,16 @@ def test_prefixes_table_and_fit(capsys, canon_path):
 def test_prefixes_unachievable_exit_two(capsys, canon_path):
     rc, _, err = run(capsys, "prefixes", "--code", canon_path, "-N", "2", "-L", "9")
     assert rc == 2
+
+
+def test_prefixes_capacity_exit_three(capsys, canon_path):
+    # the reachability table alone would be about 15 GB
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "prefixes", "--code", canon_path, "-N", "100000", "-L", "150000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: prefix table needs")
 
 
 def test_prefixes_negative_length_exit_two(capsys, canon_path):

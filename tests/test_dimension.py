@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from thermocode import (
+    CapacityError,
     Code,
     LengthSpectrum,
     PrefixCountTable,
@@ -157,6 +158,14 @@ def test_prefix_counts_validation():
         prefix_counts(CANON, 2, 3, n_max=9)
     with pytest.raises(ValueError):
         prefix_counts(CANON, 0, 3)
+
+
+def test_prefix_counts_capacity_guard():
+    # (N + 1) * (L + 1) reachability cells: refused before any allocation
+    with pytest.raises(CapacityError):
+        prefix_counts(CANON, 100_000, 150_000)
+    with pytest.raises(CapacityError):
+        prefix_counts(CANON, 10_000, 10_000)  # 100,020,001 cells, just over
 
 
 def test_prefix_counts_truncated_depth():

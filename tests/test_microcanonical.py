@@ -1,6 +1,8 @@
 """Tests for exact, brute-force, and log-domain message counting."""
 
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -46,6 +48,24 @@ def enumerate_totals(code: Code, n_symbols: int) -> dict[int, int]:
     for msg in product(code.symbols, repeat=n_symbols):
         out[len(code.encode(msg))] += 1
     return dict(out)
+
+
+def convolution_counts(spectrum: LengthSpectrum, n_symbols: int) -> dict[int, int]:
+    """Oracle: raise the length polynomial to the n_symbols power by
+    n_symbols - 1 plain big-integer convolutions."""
+    base = [(l - spectrum.l_min, d) for l, d in spectrum.degeneracy.items()]
+    span = spectrum.l_max - spectrum.l_min
+    coeffs = [0] * (span + 1)
+    for off, d in base:
+        coeffs[off] = d
+    for _ in range(n_symbols - 1):
+        new = [0] * (len(coeffs) + span)
+        for off, d in base:
+            for j, c in enumerate(coeffs):
+                new[j + off] += d * c
+        coeffs = new
+    lo = n_symbols * spectrum.l_min
+    return {lo + i: c for i, c in enumerate(coeffs) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +125,64 @@ def test_probability_conservation_exact():
         assert table.total_probability(k) == k**n
 
 
+def test_recurrence_matches_convolution():
+    # random complete codes, plus spectra with d_min > 1, a lattice step > 1,
+    # a single length, and a long gap between the two lengths
+    rng = random.Random(4)
+    spectra = [random_complete_code(rng.randint(2, 24), rng.randrange(10**6)).spectrum() for _ in range(30)]
+    spectra += [
+        LengthSpectrum({2: 3}),
+        LengthSpectrum({3: 2, 4: 3, 6: 2}),
+        LengthSpectrum({2: 2, 4: 3, 8: 16}),
+        LengthSpectrum({1: 1, 3: 4}),
+        LengthSpectrum({1: 1, 7: 2}),
+        LengthSpectrum({5: 32}),
+        GAPPY.spectrum(),
+    ]
+    for sp in spectra:
+        for n in (1, 2, 3, rng.randint(4, 20), rng.randint(40, 60)):
+            assert count_messages(sp, n).to_dict() == convolution_counts(sp, n), (sp.degeneracy, n)
+
+
+def test_canon_counts_closed_form_at_ten_thousand():
+    # N + k bits: choose the k long codewords, each one of two: C(N, k) * 2**k
+    # N = 10**4 is where the old cell cap stood; the binomials are stepped,
+    # not recomputed, so the check stays linear
+    n = 10_000
+    table = count_messages(CANON_SP, n)
+    assert table.support.tolist() == list(range(n, 2 * n + 1))
+    expected = 1
+    for k, (L, c) in enumerate(table.items()):
+        if k:
+            expected = expected * 2 * (n - k + 1) // k
+        assert c == expected, L
+    assert expected == 2**n
+
+
 def test_capacity_guard():
     sp = LengthSpectrum({1: 1, 32: 2**31})
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="log-domain"):
         count_messages(sp, 40_000)
     with pytest.raises(CapacityError):
         count_messages_brute(random_complete_code(50, 1), 6)
+
+
+def test_capacity_guard_refuses_before_computing():
+    # about 1.6e12 bits of counts: refused from the size estimate alone
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="log-domain"):
+        count_messages(CANON_SP, 10**6)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_capacity_guard_bounds_bits_not_cells():
+    # a single length has one cell whatever N is, but its count still grows:
+    # 2**(2**33) would take a GiB
+    with pytest.raises(CapacityError):
+        count_messages(LengthSpectrum({1: 2}), 2**33)
+    assert count_messages(LengthSpectrum({30: 2**30}), 20).to_dict() == {600: 2**600}
+    with pytest.raises(CapacityError):
+        count_messages(CANON_SP, 100, max_bits=100)
 
 
 def test_count_messages_rejects_bad_n():

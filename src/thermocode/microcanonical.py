@@ -40,8 +40,9 @@ __all__ = [
     "sample_messages",
 ]
 
-# Exact tables refuse when their counts could need more than this many bits in
-# all (512 MiB): canon {0, 10, 11} passes up to N of about 52,000.  The
+# Exact tables refuse when their cells could need more than this many bits in
+# all (512 MiB), each cell charged a 64-bit list slot plus its count's bound:
+# canon {0, 10, 11} passes up to N of about 52,000.  The
 # log-domain table has no size cap and no big-integer cost, but it is built by
 # n_symbols - 1 convolutions, so its time grows as N**2 * span.
 MAX_EXACT_BITS = 2**32
@@ -171,27 +172,26 @@ class TemperatureEstimate:
     one_sided: bool = False
 
 
-def count_messages(
-    spectrum: LengthSpectrum, n_symbols: int, max_bits: int = MAX_EXACT_BITS
-) -> EnsembleTable:
+def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
     """Exact message-count table by J.C.P. Miller's power recurrence.
 
     With N = n_symbols and a_m the count at total length N*l_min + m,
     a_0 = d_min**N and m*d_min*a_m = sum_k ((N+1)*k - m) * d_k * a_(m-k), k over
     the length offsets above l_min (Knuth, TAOCP vol. 2, 4.7); every division
     is exact.  That is N*span*#lengths big-integer steps.  No count exceeds
-    n_codewords**N, so the table holds at most (N*span + 1)*N*log2(n_codewords)
-    bits.  Past max_bits it raises CapacityError before computing anything;
-    use count_messages_log for those.
+    n_codewords**N, so each of the N*span + 1 cells holds a list slot (64
+    bits) and at most N*log2(n_codewords) bits of count.  Past MAX_EXACT_BITS
+    in all it raises CapacityError before computing anything; use
+    count_messages_log for those.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     l_min = spectrum.l_min
     span = spectrum.l_max - l_min
-    bits = (n_symbols * span + 1) * n_symbols * math.log2(spectrum.n_codewords)
-    if bits > max_bits:
+    bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 64)
+    if bits > MAX_EXACT_BITS:
         raise CapacityError(
-            f"exact table needs up to {bits:.3g} bits (cap {max_bits}); "
+            f"exact table needs up to {bits:.3g} bits (cap {MAX_EXACT_BITS}); "
             "use the log-domain table instead"
         )
     d0 = spectrum.d_min

@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -29,6 +28,7 @@ from thermocode import (
     sample_messages,
     temperature_at,
 )
+from thermocode import microcanonical
 from thermocode.microcanonical import _temperatures
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
@@ -169,10 +169,8 @@ def test_capacity_guard():
 
 def test_capacity_guard_refuses_before_computing():
     # about 1.6e12 bits of counts: refused from the size estimate alone
-    t0 = time.perf_counter()
     with pytest.raises(CapacityError, match="log-domain"):
         count_messages(CANON_SP, 10**6)
-    assert time.perf_counter() - t0 < 0.5
 
 
 def test_capacity_guard_bounds_bits_not_cells():
@@ -181,8 +179,22 @@ def test_capacity_guard_bounds_bits_not_cells():
     with pytest.raises(CapacityError):
         count_messages(LengthSpectrum({1: 2}), 2**33)
     assert count_messages(LengthSpectrum({30: 2**30}), 20).to_dict() == {600: 2**600}
+
+
+def test_capacity_guard_charges_every_cell(monkeypatch):
+    # small counts over a long span: the bits of the counts alone come to
+    # about 3.3e9 and 2**31, under the cap, but the lists would hold 4.7e8
+    # and 2**31 cells (3.8 GB and 17 GB of slots)
     with pytest.raises(CapacityError):
-        count_messages(CANON_SP, 100, max_bits=100)
+        count_messages(LengthSpectrum({1: 1, 2**26: 1}), 7)
+    with pytest.raises(CapacityError):
+        count_messages(LengthSpectrum({1: 1, 2**31: 1}), 1)
+    # canon at N=100 is (100 + 1) * (100*log2(3) + 64) bits, about 22,500
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 22_000)
+    with pytest.raises(CapacityError):
+        count_messages(CANON_SP, 100)
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 23_000)
+    assert sum(c for _, c in count_messages(CANON_SP, 100).items()) == 3**100
 
 
 def test_count_messages_rejects_bad_n():

@@ -4,9 +4,10 @@ A message of n_symbols symbols encodes to a bit string whose length is the
 sum of the individual codeword lengths.  The number of messages that encode
 to exactly L bits is the coefficient of z**L in (sum_l d_l z**l)**n_symbols,
 where d_l counts codewords of length l.  This module computes that table
-exactly (arbitrary-precision integers), in the log2 domain (numpy floats, no
-big integers), and by literal enumeration (the oracle the other two are checked
-against), and derives entropy and discrete temperature from it.
+exactly (arbitrary-precision integers), in the log2 domain (numpy floats,
+with only a few big integers alive at a time), and by literal enumeration (the
+oracle the other two are checked against), and derives entropy and discrete
+temperature from it.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
 entropy (dimensionless).
@@ -15,7 +16,7 @@ entropy (dimensionless).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -42,9 +43,9 @@ __all__ = [
 
 # Exact tables refuse when their cells could need more than this many bits in
 # all (512 MiB), each cell charged a 64-bit list slot plus its count's bound:
-# canon {0, 10, 11} passes up to N of about 52,000.  The
-# log-domain table has no size cap and no big-integer cost, but it is built by
-# n_symbols - 1 convolutions, so its time grows as N**2 * span.
+# canon {0, 10, 11} passes up to N of about 52,000.  The log-domain table
+# runs the same recurrence but keeps only span + 1 counts alive, so it has no
+# size cap; its time still grows as N**2 * span * #lengths.
 MAX_EXACT_BITS = 2**32
 
 # Literal enumeration refuses more than this many messages.
@@ -113,9 +114,9 @@ class EnsembleTable:
 class LogEnsembleTable:
     """log2 of the message counts, as a dense float array over the lattice.
 
-    Unachievable lengths hold -inf.  Agrees with EnsembleTable to float
-    precision, with no big-integer cost and no size cap; building it takes
-    n_symbols - 1 log-sum-exp convolutions, about n_symbols**2 * span operations.
+    Unachievable lengths hold -inf.  count_messages_log fills it with
+    math.log2 of each exact count, so its values equal EnsembleTable's
+    log2_count bit for bit; iter_log_tables' tables agree to float rounding.
     """
 
     __slots__ = ("n_symbols", "_offset", "_log2", "_support")
@@ -172,13 +173,37 @@ class TemperatureEstimate:
     one_sided: bool = False
 
 
+def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
+    """Yield the exact counts a_0 .. a_(N*span), a_m at total length N*l_min + m.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): with
+    N = n_symbols, a_0 = d_min**N and
+    m*d_min*a_m = sum_k ((N+1)*k - m) * d_k * a_(m-k), k over the length
+    offsets above l_min; every division is exact.  a_m needs only the span
+    counts before it, so only those are kept.
+    """
+    l_min = spectrum.l_min
+    span = spectrum.l_max - l_min
+    d0 = spectrum.d_min
+    terms = [(l - l_min, d) for l, d in spectrum.degeneracy.items() if l > l_min]
+    a = d0**n_symbols
+    recent = deque([a], maxlen=span)  # recent[-k] is a_(m-k)
+    yield a
+    for m in range(1, n_symbols * span + 1):
+        acc = 0
+        for k, d in terms:
+            if k > m:
+                break
+            acc += ((n_symbols + 1) * k - m) * d * recent[-k]
+        a = acc // (m * d0)
+        recent.append(a)
+        yield a
+
+
 def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
     """Exact message-count table by J.C.P. Miller's power recurrence.
 
-    With N = n_symbols and a_m the count at total length N*l_min + m,
-    a_0 = d_min**N and m*d_min*a_m = sum_k ((N+1)*k - m) * d_k * a_(m-k), k over
-    the length offsets above l_min (Knuth, TAOCP vol. 2, 4.7); every division
-    is exact.  That is N*span*#lengths big-integer steps.  No count exceeds
+    N*span*#lengths big-integer steps (see _miller).  No count exceeds
     n_codewords**N, so each of the N*span + 1 cells holds a list slot (64
     bits) and at most N*log2(n_codewords) bits of count.  Past MAX_EXACT_BITS
     in all it raises CapacityError before computing anything; use
@@ -186,25 +211,14 @@ def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    l_min = spectrum.l_min
-    span = spectrum.l_max - l_min
+    span = spectrum.l_max - spectrum.l_min
     bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 64)
     if bits > MAX_EXACT_BITS:
         raise CapacityError(
             f"exact table needs up to {bits:.3g} bits (cap {MAX_EXACT_BITS}); "
             "use the log-domain table instead"
         )
-    d0 = spectrum.d_min
-    terms = [(l - l_min, d) for l, d in spectrum.degeneracy.items() if l > l_min]
-    coeffs = [d0**n_symbols] + [0] * (n_symbols * span)
-    for m in range(1, len(coeffs)):
-        acc = 0
-        for k, d in terms:
-            if k > m:
-                break
-            acc += ((n_symbols + 1) * k - m) * d * coeffs[m - k]
-        coeffs[m] = acc // (m * d0)
-    return EnsembleTable(n_symbols, n_symbols * l_min, coeffs)
+    return EnsembleTable(n_symbols, n_symbols * spectrum.l_min, list(_miller(spectrum, n_symbols)))
 
 
 def count_messages_brute(
@@ -252,12 +266,20 @@ def _log_arrays(spectrum: LengthSpectrum, n_max: int) -> Iterator[np.ndarray]:
 
 
 def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleTable:
-    """Log-domain message-count table (log-sum-exp convolutions, numpy)."""
+    """Log-domain message-count table: math.log2 of each exact count.
+
+    Runs the recurrence of count_messages but holds only span + 1 big
+    integers at a time, so memory stays flat and there is no size cap; the
+    time still grows as N**2 * span * #lengths.
+    """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    for lw in _log_arrays(spectrum, n_symbols):
-        pass
-    return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, lw)
+    log2_counts = np.fromiter(
+        (math.log2(c) if c else -math.inf for c in _miller(spectrum, n_symbols)),
+        dtype=np.float64,
+        count=n_symbols * (spectrum.l_max - spectrum.l_min) + 1,
+    )
+    return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
 
 
 def iter_log_tables(
@@ -265,8 +287,11 @@ def iter_log_tables(
 ) -> Iterator[LogEnsembleTable]:
     """Yield the log-domain table for every n_symbols from 1 to n_max.
 
-    Builds incrementally, so sweeping all n costs the same as building the
-    largest table once; each yielded table owns its array.
+    Each table is one log-sum-exp convolution of the last, so the sweep costs
+    about n_max**2 * span float operations in all, where building each table
+    by count_messages_log would cost O(n_max**3).  Values agree with
+    count_messages_log to float rounding, not bit for bit; each yielded table
+    owns its array.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -422,8 +447,15 @@ def sample_messages(
         for L in np.flatnonzero(binc):
             hist[int(L)] += int(binc[L])
         if conditional is not None:
-            for row in idx[totals == focus_total]:
-                conditional["".join(words[i] for i in row)] += 1
+            # sort the hits so equal messages sit together, then join each
+            # distinct message once and add its run length
+            hits = idx[totals == focus_total]
+            hits = hits[np.lexsort(hits.T[::-1])]
+            new_run = np.r_[len(hits) > 0, np.any(hits[1:] != hits[:-1], axis=1)]
+            starts = np.flatnonzero(new_run)
+            runs = np.diff(np.r_[starts, len(hits)])
+            for row, run in zip(hits[starts].tolist(), runs.tolist()):
+                conditional["".join([words[i] for i in row])] += run
         done += m
     return SampleReport(
         draws=draws,

@@ -138,6 +138,26 @@ def test_cli_out_file_matches_golden(case, code_paths, tmp_path):
     }
 
 
+def _blank_omega(csv_text: str) -> str:
+    """csv_text with the omega cell (second column) of every data row emptied."""
+    header, *rows = csv_text.splitlines(keepends=True)
+    out = [header]
+    for row in rows:
+        L, _, rest = row.split(",", 2)
+        out.append(f"{L},,{rest}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("omega-") and c.endswith("-exact")))
+def test_log_omega_is_exact_omega_without_counts(case):
+    """A log table holds math.log2 of the exact counts, so --mode log prints
+    the exact table's bytes with the omega column blank."""
+    cases = _golden()["cases"]
+    exact, log = cases[case], cases[case.removesuffix("-exact") + "-log"]
+    assert exact["rc"] == log["rc"] == 0
+    assert log["stdout"] == _blank_omega(exact["stdout"])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -217,6 +218,51 @@ def test_log_table_matches_exact():
                 a = exact.log2_count(L)
                 b = logt.log2_count(L)
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def test_log_table_is_log2_of_exact_counts():
+    # random complete codes, plus d_min > 1, a lattice step > 1 and a single
+    # length: the log table is math.log2 of the exact count, bit for bit
+    rng = random.Random(8)
+    spectra = [random_complete_code(rng.randint(2, 24), rng.randrange(10**6)).spectrum() for _ in range(20)]
+    spectra += [
+        LengthSpectrum({3: 2, 4: 3, 6: 2}),
+        LengthSpectrum({2: 2, 4: 3, 8: 16}),
+        LengthSpectrum({1: 1, 7: 2}),
+        LengthSpectrum({5: 32}),
+        GAPPY.spectrum(),
+    ]
+    for sp in spectra:
+        for n in (1, 2, rng.randint(3, 30), rng.randint(100, 300)):
+            exact = count_messages(sp, n)
+            logt = count_messages_log(sp, n)
+            assert logt.support.tolist() == exact.support.tolist()
+            want = [math.log2(c) for _, c in exact.items()]
+            assert logt._entropies().tolist() == want, (sp.degeneracy, n)
+
+
+def test_log_table_past_the_exact_guard():
+    # canon at N + k bits holds C(N, k) * 2**k messages
+    n = 53_000
+    with pytest.raises(CapacityError):
+        count_messages(CANON_SP, n)
+    table = count_messages_log(CANON_SP, n)
+    assert table.support.tolist() == list(range(n, 2 * n + 1))
+    for k in (0, 1, 17, n // 3, 2 * n // 3 + 1, n - 1, n):
+        want = math.log2(math.comb(n, k)) + k
+        assert abs(table.log2_count(n + k) - want) <= 1e-9, k
+
+
+def test_log_table_memory_is_flat():
+    # the exact table here holds about 65 MB of integers; the log table keeps
+    # span + 1 of them alive next to its 160 kB float array
+    tracemalloc.start()
+    try:
+        count_messages_log(CANON_SP, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_log_table_count_is_inf_past_the_float_range():
@@ -466,6 +512,28 @@ def test_sampling_conditional_focus():
         assert len(msg) == 3
     # all six messages of three symbols at 4 bits should show up in 5000 draws
     assert len(cond) == count_messages(CANON_SP, 3).count(4) == 6
+
+
+def test_sampling_focus_tally_matches_per_row_counter():
+    # one chunk of draws, replayed row by row through the same generator
+    code = random_complete_code(6, 3)
+    pmf = dyadic_pmf(code)
+    n, draws = 5, 20_000
+    first = sample_messages(code, pmf, n, draws, seed=11)
+    focus = max(first.histogram, key=first.histogram.get)
+    report = sample_messages(code, pmf, n, draws, seed=11, focus_total=focus)
+    assert report.histogram == first.histogram
+
+    words = [code.codeword(s) for s in code.symbols]
+    probs = np.array([float(p) for _, p in pmf.items()])
+    rows = np.random.default_rng(11).choice(len(words), size=(draws, n), p=probs / probs.sum())
+    want: Counter[str] = Counter()
+    for row in rows.tolist():
+        bits = "".join(words[i] for i in row)
+        if len(bits) == focus:
+            want[bits] += 1
+    assert report.conditional_counts == dict(want)
+    assert len(want) > 1 and max(want.values()) > 1
 
 
 def test_sampling_validates_inputs():

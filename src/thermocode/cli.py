@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import bisect
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, starmap
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .codes import (
     Code,
     Pmf,
@@ -450,6 +450,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's few BLAS calls here are tiny, and each extra OpenBLAS worker
+    # thread spins at load for no gain; numpy loads on first use, after this
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # exact counts can run to millions of digits (the capacity guard bounds
     # a table's total bits, not the digits of one count); lift the
     # interpreter's int-to-str cap so they print instead of raising

@@ -122,6 +122,31 @@ class Pmf:
         return f"Pmf({{{body}}})"
 
 
+def _kraft_ceiling(counts: Mapping[int, int]) -> tuple[int, bool]:
+    """(ceil(K), whether K is an integer) for the Kraft sum K of a sorted
+    length -> count mapping, without building 2**length.
+
+    Walks from the longest length to the root, carrying the number of tree
+    nodes the longer codewords occupy: gap levels up, need nodes fit in
+    ceil(need / 2**gap), which is 1 once 2**gap exceeds need.  So need stays
+    the ceiling of the Kraft mass below each level, and the division is exact
+    at every step iff K is an integer.
+    """
+    items = reversed(counts.items())
+    level, need = next(items)
+    exact = True
+    for length, count in [*items, (0, 0)]:
+        gap = level - length
+        if gap >= need.bit_length():
+            need, exact = 1, False
+        else:
+            exact = exact and need & ((1 << gap) - 1) == 0
+            need = -(-need >> gap)
+        need += count
+        level = length
+    return need, exact
+
+
 class LengthSpectrum:
     """Multiset of codeword lengths: length -> number of codewords.
 
@@ -143,7 +168,7 @@ class LengthSpectrum:
                 raise ValueError(f"count for length {length} must be a positive int")
             clean[length] = count
         self._counts = dict(sorted(clean.items()))
-        if self.kraft_sum() > 1:
+        if _kraft_ceiling(self._counts)[0] > 1:
             raise ValueError(
                 f"Kraft sum {self.kraft_sum()} exceeds 1: no prefix code has these lengths"
             )
@@ -216,7 +241,7 @@ class LengthSpectrum:
     @property
     def is_complete(self) -> bool:
         """True when the Kraft sum is exactly 1 (no capacity left unused)."""
-        return self.kraft_sum() == 1
+        return _kraft_ceiling(self._counts) == (1, True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LengthSpectrum) and self._counts == other._counts

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
 from .gibbs import _stats, temperature_from_beta

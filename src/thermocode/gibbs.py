@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf
 from .errors import DegenerateSpectrumError, InfeasibleError
 from .rootfind import solve_decreasing

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf
 from .errors import CapacityError, UnachievableLengthError
 
@@ -50,6 +49,11 @@ MAX_EXACT_BITS = 2**32
 
 # Literal enumeration refuses more than this many messages.
 MAX_BRUTE_MESSAGES = 10_000_000
+
+# The sampler draws at most this many symbols per chunk; a chunk's int64
+# matrices take 8 MB each.  rng.choice's stream does not depend on the chunk
+# size, so neither does the report.
+_SAMPLE_CHUNK_CELLS = 1_000_000
 
 
 class EnsembleTable:
@@ -437,7 +441,7 @@ def sample_messages(
 
     hist: Counter[int] = Counter()
     conditional: Counter[str] | None = Counter() if focus_total is not None else None
-    chunk = max(1, min(draws, 10_000_000 // n_symbols))
+    chunk = max(1, min(draws, _SAMPLE_CHUNK_CELLS // n_symbols))
     done = 0
     while done < draws:
         m = min(chunk, draws - done)

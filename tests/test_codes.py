@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from thermocode import (
     random_complete_code,
     shannon_entropy,
 )
+from thermocode.codes import _kraft_ceiling
 
 CANON = {"a": "0", "b": "10", "c": "11"}
 CANON_PMF = {"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}
@@ -102,6 +104,42 @@ def test_spectrum_rejects_kraft_violation():
         LengthSpectrum({1: 3})
     with pytest.raises(ValueError):
         LengthSpectrum({1: 2, 2: 1})
+
+
+def _random_spectra(rng, count):
+    """Complete spectra, each one codeword over-full and one short, and
+    random ones, which are mostly incomplete or over-full."""
+    for _ in range(count):
+        complete = random_complete_code(rng.randint(2, 40), rng.randrange(10**6)).spectrum().degeneracy
+        yield complete
+        longest = max(complete)
+        yield {**complete, longest: complete[longest] + 1}
+        if complete[longest] > 1:
+            yield {**complete, longest: complete[longest] - 1}
+        lengths = rng.sample(range(1, rng.choice([6, 12, 70])), rng.randint(1, 5))
+        yield {l: rng.randint(1, 2 ** min(l, 10)) for l in lengths}
+
+
+def test_kraft_check_matches_fraction_sum():
+    rng = random.Random(6)
+    kinds = set()
+    for counts in _random_spectra(rng, 600):
+        total = sum(Fraction(d, 2**l) for l, d in counts.items())
+        kinds.add((total > 1) - (total < 1))
+        assert _kraft_ceiling(dict(sorted(counts.items()))) == (math.ceil(total), total.denominator == 1)
+        if total > 1:
+            with pytest.raises(ValueError, match="exceeds 1"):
+                LengthSpectrum(counts)
+        else:
+            sp = LengthSpectrum(counts)
+            assert sp.kraft_sum() == total
+            assert sp.is_complete == (total == 1)
+    assert kinds == {-1, 0, 1}
+    # lengths far past anything 2**l could hold: the answer is still exact
+    assert _kraft_ceiling({1: 1, 2**40: 1}) == (1, False)
+    assert _kraft_ceiling({1: 2, 2**40: 1}) == (2, False)
+    assert _kraft_ceiling({1: 1, 2**40: 2**(2**10)}) == (1, False)
+    assert not LengthSpectrum({1: 1, 2**40: 1}).is_complete
 
 
 def test_spectrum_rejects_bad_entries():

@@ -536,6 +536,20 @@ def test_sampling_focus_tally_matches_per_row_counter():
     assert len(want) > 1 and max(want.values()) > 1
 
 
+def test_sampling_report_does_not_depend_on_chunk_size(monkeypatch):
+    # the same seed drawn in many uneven chunks and in one chunk
+    code = random_complete_code(6, 3)
+    pmf = dyadic_pmf(code)
+    n, draws = 4, 5_000
+    focus = max(sample_messages(code, pmf, n, draws, seed=5).histogram.items(), key=lambda kv: kv[1])[0]
+    reports = []
+    for cells in (999, 4_000, n * draws):
+        monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
+        reports.append(sample_messages(code, pmf, n, draws, seed=5, focus_total=focus))
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0].conditional_counts) > 1
+
+
 def test_sampling_validates_inputs():
     pmf = dyadic_pmf(CANON)
     with pytest.raises(ValueError):

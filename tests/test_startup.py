@@ -1,0 +1,114 @@
+"""Process start-up: numpy loads only when a command needs an array, and the
+CLI runs OpenBLAS on one thread unless the caller chose otherwise.
+
+Each probe runs in a fresh interpreter, since this test process has long
+since imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thermocode
+
+SRC = str(Path(thermocode.__file__).resolve().parent.parent)
+
+
+def probe(code: str, **env) -> dict:
+    """Run code in a fresh interpreter; it prints one JSON object last."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**base, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run_cli(argvs, tail: str = "") -> str:
+    return (
+        "import json, os, sys\n"
+        "from thermocode import cli\n"
+        f"rcs = [cli.main(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        f"print(json.dumps({{'rcs': rcs, 'loaded': loaded, {tail}}}))\n"
+    )
+
+
+def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):
+    doc = str(tmp_path / "g16.json")
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["check", "--code", doc],
+        ["omega", "--code", str(tmp_path / "missing.json"), "-N", "3"],
+        ["solve-temp", "--code", doc, "-L", "40"],
+    ]
+    got = probe(_run_cli(argvs))
+    assert got["rcs"] == [0, 0, 1, 1]
+    assert got["loaded"] == []
+
+
+def _gibbs_probe(tmp_path) -> str:
+    doc = str(tmp_path / "g16.json")
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["gibbs", "--code", doc, "--beta", "1"],
+    ]
+    return _run_cli(
+        argvs,
+        "'blas': os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "'threads': len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None",
+    )
+
+
+def test_numeric_command_runs_one_blas_thread(tmp_path):
+    got = probe(_gibbs_probe(tmp_path))
+    assert got["rcs"] == [0, 0]
+    assert got["loaded"]  # gibbs did load numpy
+    assert got["blas"] == "1"
+    if sys.platform.startswith("linux"):
+        assert got["threads"] == 1
+
+
+def test_caller_blas_thread_count_is_kept(tmp_path):
+    got = probe(_gibbs_probe(tmp_path), OPENBLAS_NUM_THREADS="2")
+    assert got["rcs"] == [0, 0]
+    assert got["loaded"]
+    assert got["blas"] == "2"
+
+
+def test_numpy_imported_first_is_the_module_thermocode_uses():
+    got = probe(
+        "import json, numpy\n"
+        "import thermocode\n"
+        "from thermocode import cli, dimension, gibbs, microcanonical\n"
+        "names = {}\n"
+        "exec('from thermocode import *', names)\n"
+        "same = all(m.np is numpy for m in (cli, dimension, gibbs, microcanonical))\n"
+        "print(json.dumps({'same': same, 'real': hasattr(numpy, 'ndarray'),\n"
+        "                  'names': sorted(set(names) - {'__builtins__'})}))\n"
+    )
+    assert got["same"] and got["real"]
+    assert len(got["names"]) == 55
+    assert set(got["names"]) == set(thermocode.__all__)
+
+
+@pytest.mark.parametrize("first", ["thermocode", "numpy"])
+def test_numpy_works_whichever_is_imported_first(first):
+    # the lazy module turns into the real one on first use, for thermocode
+    # and for any later `import numpy`
+    second = "numpy" if first == "thermocode" else "thermocode"
+    got = probe(
+        f"import json, {first}, {second}, numpy\n"
+        "from thermocode import LengthSpectrum, gibbs_state\n"
+        "z = gibbs_state(LengthSpectrum({1: 1, 2: 2}), 1.0).z\n"
+        "print(json.dumps({'z': z, 'sum': int(numpy.arange(5).sum())}))\n"
+    )
+    assert got == {"z": 1.0, "sum": 10}

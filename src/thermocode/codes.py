@@ -169,9 +169,7 @@ class LengthSpectrum:
             clean[length] = count
         self._counts = dict(sorted(clean.items()))
         if _kraft_ceiling(self._counts)[0] > 1:
-            raise ValueError(
-                f"Kraft sum {self.kraft_sum()} exceeds 1: no prefix code has these lengths"
-            )
+            raise ValueError("Kraft sum exceeds 1: no prefix code has these lengths")
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "LengthSpectrum":

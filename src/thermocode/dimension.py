@@ -36,8 +36,9 @@ __all__ = [
     "dimension_curve",
 ]
 
-# prefix_counts refuses reachability tables of more than this many cells
-# (one byte each): canon {0, 10, 11} at N=600, L=900 needs 0.54 million.
+# prefix_counts refuses tables of more than this many bytes: the (N+1)(L+1)
+# one-byte reachability cells plus 17 (N+1) bytes of rows per code-tree node.
+# canon {0, 10, 11} at N=600, L=900 needs 0.56 million.
 MAX_REACH_CELLS = 10**8
 
 
@@ -145,12 +146,18 @@ def prefix_counts(
 ) -> PrefixCountTable:
     """Count distinct prefixes of the message set by exact dynamic programming.
 
-    State: (codewords completed, position inside the code tree).  Distinct
-    prefixes reaching a common state are interchangeable, so integer path
-    counts per state enumerate them without materializing any string.
-    States that cannot be completed to exactly total_bits (checked against
-    the achievable-length table of the remaining suffix) are pruned as soon
-    as they appear, which keeps the live state set small.
+    Every message prefix parses uniquely as k whole codewords followed by one
+    node of the code tree, a proper prefix of a codeword (the root "" when the
+    prefix ends on a codeword boundary).  So rows[i, k], the number of
+    distinct n-bit prefixes ending at node i after k whole codewords, counts
+    prefixes without materializing any string, and the count at length n is
+    the sum of all rows.  Each bit moves the row of every node to its
+    children and returns the rows of the parents of codewords to the root
+    with k + 1.  A boolean mask then zeroes every cell that cannot be
+    completed to exactly total_bits, read from the achievable-length table of
+    the remaining codewords: the root needs n_symbols - k codewords filling
+    the bits left, any other node a codeword ending e bits below it and
+    n_symbols - k - 1 codewords filling the rest.
 
     Args:
         code: the prefix code.
@@ -162,7 +169,8 @@ def prefix_counts(
         PrefixCountTable with exact counts for n = 0 .. n_max.
 
     Raises CapacityError when the (n_symbols + 1) x (total_bits + 1)
-    reachability table would pass MAX_REACH_CELLS.
+    reachability table plus 17 bytes per node and k (two generations of
+    8-byte row slots and a mask byte) would pass MAX_REACH_CELLS bytes.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -175,10 +183,13 @@ def prefix_counts(
         n_max = total_bits
     if not 0 <= n_max <= total_bits:
         raise ValueError("n_max must lie in [0, total_bits]")
-    cells = (n_symbols + 1) * (total_bits + 1)
-    if cells > MAX_REACH_CELLS:
+    words = code.words.values()
+    nodes = sorted({w[:i] for w in words for i in range(len(w))})
+    needed = (n_symbols + 1) * (total_bits + 1 + 17 * len(nodes))
+    if needed > MAX_REACH_CELLS:
         raise CapacityError(
-            f"prefix table needs {cells} reachability cells (cap {MAX_REACH_CELLS})"
+            f"prefix table needs {needed} bytes of reachability cells and rows"
+            f" (cap {MAX_REACH_CELLS})"
         )
 
     reach = _achievable_rows(spectrum, n_symbols, total_bits)
@@ -187,55 +198,30 @@ def prefix_counts(
             f"no message of {n_symbols} codewords totals {total_bits} bits"
         )
 
-    # Code tree: internal nodes are the proper prefixes of codewords.
-    words = set(code.words.values())
-    internal = sorted({w[:i] for w in words for i in range(len(w))})
-    node_id = {p: i for i, p in enumerate(internal)}
-    root = node_id[""]
-    children: list[list[tuple[str, int] | None]] = []
-    depth_sets: list[tuple[int, ...]] = []
-    for p in internal:
-        row: list[tuple[str, int] | None] = []
-        for bit in "01":
-            q = p + bit
-            if q in node_id:
-                row.append(("node", node_id[q]))
-            elif q in words:
-                row.append(("leaf", 0))
-            else:
-                row.append(None)
-        children.append(row)
-        depth_sets.append(
-            tuple(sorted({len(w) - len(p) for w in words if w.startswith(p)}))
-        )
+    index = {p: i for i, p in enumerate(nodes)}
+    parent = np.array([index[p[:-1]] for p in nodes[1:]], dtype=np.intp)
+    leaf_parent = np.array([index[w[:-1]] for w in words], dtype=np.intp)
+    below = np.zeros((len(nodes), spectrum.l_max + 1), dtype=bool)
+    for w in words:
+        for i in range(len(w)):
+            below[index[w[:i]], len(w) - i] = True
+    back = reach[::-1]  # back[k] is reach[n_symbols - k]
 
-    def viable(k: int, node: int, bits_used: int) -> bool:
-        left = total_bits - bits_used
-        if node == root:
-            return k <= n_symbols and reach[n_symbols - k, left]
-        if k >= n_symbols:
-            return False
-        row = reach[n_symbols - k - 1]
-        return any(d <= left and row[left - d] for d in depth_sets[node])
-
-    states: dict[tuple[int, int], int] = {(0, root): 1}
+    rows = np.zeros((len(nodes), n_symbols + 1), dtype=object)
+    rows[0, 0] = 1
     counts = [1]
     for n in range(1, n_max + 1):
-        new: dict[tuple[int, int], int] = {}
-        for (k, node), c in states.items():
-            for edge in children[node]:
-                if edge is None:
-                    continue
-                kind, target = edge
-                key = (k + 1, root) if kind == "leaf" else (k, target)
-                if key in new:
-                    new[key] += c
-                else:
-                    new[key] = c
-        states = {
-            key: c for key, c in new.items() if viable(key[0], key[1], n)
-        }
-        counts.append(sum(states.values()))
+        left = total_bits - n
+        new = np.zeros_like(rows)
+        new[1:] = rows[parent]
+        new[0, 1:] = rows[leaf_parent, :-1].sum(axis=0)
+        mask = np.zeros(rows.shape, dtype=bool)
+        mask[0] = back[:, left]
+        for e in range(1, min(spectrum.l_max, left) + 1):
+            mask[1:, :-1] |= below[1:, e, None] & back[1:, left - e]
+        new[~mask] = 0
+        rows = new
+        counts.append(int(rows.sum()))
     return PrefixCountTable(n_symbols=n_symbols, total_bits=total_bits, counts=tuple(counts))
 
 
@@ -254,7 +240,7 @@ def fit_dimension(
     if not 0 <= n_lo < n_hi <= table.n_max:
         raise ValueError(f"bad fit range [{n_lo}, {n_hi}] for table up to {table.n_max}")
     xs = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    ys = np.array([math.log2(c) for c in table.counts[n_lo : n_hi + 1]])
+    ys = table.log2_counts()[n_lo : n_hi + 1]
     return float(np.polyfit(xs, ys, 1)[0])
 
 

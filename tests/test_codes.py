@@ -140,6 +140,10 @@ def test_kraft_check_matches_fraction_sum():
     assert _kraft_ceiling({1: 2, 2**40: 1}) == (2, False)
     assert _kraft_ceiling({1: 1, 2**40: 2**(2**10)}) == (1, False)
     assert not LengthSpectrum({1: 1, 2**40: 1}).is_complete
+    # an over-full spectrum with one long length is refused by the Kraft
+    # message, not by formatting an exact sum with 2**20 bits in its denominator
+    with pytest.raises(ValueError, match="^Kraft sum exceeds 1"):
+        LengthSpectrum({1: 2, 2**20: 1})
 
 
 def test_spectrum_rejects_bad_entries():

@@ -24,6 +24,7 @@ from thermocode import (
     random_complete_code,
     unit_temperature_derivatives,
 )
+from thermocode import dimension
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -132,13 +133,22 @@ def test_prefix_counts_match_enumeration():
 
 
 def test_prefix_counts_match_enumeration_random():
-    for seed in range(25):
-        code = random_complete_code(2 + seed % 5, seed)
+    # trees of up to 12 leaves, every third code made incomplete by dropping a
+    # codeword, and every other table cut short by n_max
+    depths = set()
+    for seed in range(40):
+        words = dict(random_complete_code(2 + seed % 11, seed).words)
+        if seed % 3 == 0:
+            words.popitem()
+        code = Code(words)
+        depths.add(code.spectrum().l_max)
         n = 2 + seed % 3
         support = count_messages(code.spectrum(), n).support.tolist()
         total = int(support[len(support) // 2])
-        got = prefix_counts(code, n, total)
-        assert list(got.counts) == brute_prefix_counts(code, n, total)
+        n_max = total if seed % 2 else total // 2
+        got = prefix_counts(code, n, total, n_max=n_max)
+        assert list(got.counts) == brute_prefix_counts(code, n, total)[: n_max + 1]
+    assert max(depths) > 3
 
 
 def test_prefix_counts_growth_invariants():
@@ -160,12 +170,21 @@ def test_prefix_counts_validation():
         prefix_counts(CANON, 0, 3)
 
 
-def test_prefix_counts_capacity_guard():
-    # (N + 1) * (L + 1) reachability cells: refused before any allocation
+def test_prefix_counts_capacity_guard(monkeypatch):
+    # (N + 1) * (L + 1) reachability bytes plus (N + 1) * 17 bytes of rows per
+    # code-tree node: refused before any allocation
     with pytest.raises(CapacityError):
         prefix_counts(CANON, 100_000, 150_000)
     with pytest.raises(CapacityError):
-        prefix_counts(CANON, 10_000, 10_000)  # 100,020,001 cells, just over
+        prefix_counts(CANON, 10_000, 10_000)  # 100,360,035 bytes, just over
+    # 255 nodes at N = 4, L = 32: the reachability table alone fits a cap of
+    # 5 * 33 bytes, the rows do not
+    code = random_complete_code(256, 5)
+    monkeypatch.setattr(dimension, "MAX_REACH_CELLS", 5 * 33)
+    with pytest.raises(CapacityError, match="^prefix table needs"):
+        prefix_counts(code, 4, 32)
+    monkeypatch.setattr(dimension, "MAX_REACH_CELLS", 5 * (33 + 17 * 255))
+    assert prefix_counts(code, 4, 32).counts[-1] == count_messages(code.spectrum(), 4).count(32)
 
 
 def test_prefix_counts_truncated_depth():

@@ -36,10 +36,15 @@ __all__ = [
     "dimension_curve",
 ]
 
-# prefix_counts refuses tables of more than this many bytes: the (N+1)(L+1)
-# one-byte reachability cells plus 17 (N+1) bytes of rows per code-tree node.
-# canon {0, 10, 11} at N=600, L=900 needs 0.56 million.
+# prefix_counts refuses a table of more than MAX_REACH_CELLS bytes: the
+# (N+1)(L+1) one-byte reachability cells plus 17 (N+1) bytes of rows per
+# code-tree node.  It also refuses more than MAX_PREFIX_STEPS DP steps of
+# time, charged as n_max * nodes * (N+1) * (l_max+1).  canon {0, 10, 11} at
+# N=600, L=900 needs 0.56 million bytes and 3.2 million steps, the largest
+# canon table the byte cap admits (N = L = 10**4) about 6e8 steps.  The
+# big-integer size of the row counts (up to L bits each) is not charged.
 MAX_REACH_CELLS = 10**8
+MAX_PREFIX_STEPS = 2 * 10**9
 
 
 def box_dimension(spectrum: LengthSpectrum, beta: float) -> float:
@@ -170,7 +175,9 @@ def prefix_counts(
 
     Raises CapacityError when the (n_symbols + 1) x (total_bits + 1)
     reachability table plus 17 bytes per node and k (two generations of
-    8-byte row slots and a mask byte) would pass MAX_REACH_CELLS bytes.
+    8-byte row slots and a mask byte) would pass MAX_REACH_CELLS bytes, or
+    when n_max * nodes * (n_symbols + 1) * (l_max + 1) DP steps would pass
+    MAX_PREFIX_STEPS; both are checked before any table is built.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -191,6 +198,9 @@ def prefix_counts(
             f"prefix table needs {needed} bytes of reachability cells and rows"
             f" (cap {MAX_REACH_CELLS})"
         )
+    steps = n_max * len(nodes) * (n_symbols + 1) * (spectrum.l_max + 1)
+    if steps > MAX_PREFIX_STEPS:
+        raise CapacityError(f"prefix table needs {steps:.3g} DP steps (cap {MAX_PREFIX_STEPS})")
 
     reach = _achievable_rows(spectrum, n_symbols, total_bits)
     if not reach[n_symbols, total_bits]:
@@ -231,12 +241,16 @@ def fit_dimension(
     """Least-squares slope of log2(count) against prefix length.
 
     Defaults: n_lo = ceil(0.2 * total_bits) to skip the transient where
-    every bit string is still a viable prefix, n_hi = the table end.
+    every bit string is still a viable prefix, n_hi = the table end.  When
+    the defaults leave fewer than two points (a table cut short by n_max,
+    or a tiny total_bits) the slope is undefined and nan is returned; an
+    explicit range with fewer than two points raises ValueError.
     """
-    if n_lo is None:
-        n_lo = math.ceil(0.2 * table.total_bits)
-    if n_hi is None:
-        n_hi = table.n_max
+    default = n_lo is None and n_hi is None
+    n_lo = math.ceil(0.2 * table.total_bits) if n_lo is None else n_lo
+    n_hi = table.n_max if n_hi is None else n_hi
+    if default and n_lo >= n_hi:
+        return math.nan
     if not 0 <= n_lo < n_hi <= table.n_max:
         raise ValueError(f"bad fit range [{n_lo}, {n_hi}] for table up to {table.n_max}")
     xs = np.arange(n_lo, n_hi + 1, dtype=np.float64)

@@ -249,26 +249,6 @@ def count_messages_brute(
     return EnsembleTable(n_symbols, lo, coeffs)
 
 
-def _log_arrays(spectrum: LengthSpectrum, n_max: int) -> Iterator[np.ndarray]:
-    """log2-count arrays for n_symbols = 1 .. n_max, each one log-sum-exp
-    convolution after the last.  Every yielded array is new and is never
-    written to again."""
-    l_min = spectrum.l_min
-    span = spectrum.l_max - l_min
-    base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
-    lw = np.full(span + 1, -np.inf)
-    for off, ld in base:
-        lw[off] = ld
-    yield lw
-    for _ in range(n_max - 1):
-        new = np.full(len(lw) + span, -np.inf)
-        for off, ld in base:
-            seg = new[off : off + len(lw)]
-            np.logaddexp2(seg, lw + ld, out=seg)
-        lw = new
-        yield lw
-
-
 def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleTable:
     """Log-domain message-count table: math.log2 of each exact count.
 
@@ -294,13 +274,25 @@ def iter_log_tables(
     Each table is one log-sum-exp convolution of the last, so the sweep costs
     about n_max**2 * span float operations in all, where building each table
     by count_messages_log would cost O(n_max**3).  Values agree with
-    count_messages_log to float rounding, not bit for bit; each yielded table
-    owns its array.
+    count_messages_log to float rounding, not bit for bit.  Every yielded
+    array is new and is never written to again, so each table owns its array.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    for n, lw in enumerate(_log_arrays(spectrum, n_max), start=1):
-        yield LogEnsembleTable(n, n * spectrum.l_min, lw)
+    l_min = spectrum.l_min
+    span = spectrum.l_max - l_min
+    base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
+    lw = np.full(span + 1, -np.inf)
+    for off, ld in base:
+        lw[off] = ld
+    yield LogEnsembleTable(1, l_min, lw)
+    for n in range(2, n_max + 1):
+        new = np.full(len(lw) + span, -np.inf)
+        for off, ld in base:
+            seg = new[off : off + len(lw)]
+            np.logaddexp2(seg, lw + ld, out=seg)
+        lw = new
+        yield LogEnsembleTable(n, n * l_min, lw)
 
 
 def entropy_at(table: EnsembleTable | LogEnsembleTable, total_bits: int) -> float:
@@ -361,31 +353,18 @@ def temperature_at(
     return TemperatureEstimate(value, pos in (0, len(support) - 1))
 
 
-def _weight_cmp(c1: int, L1: int, c2: int, L2: int) -> int:
-    """Sign of c1 * 2**-L1 - c2 * 2**-L2, exactly."""
-    # bit_length brackets log2 within 1, deciding all clear-cut cases cheaply.
-    if c1.bit_length() - 1 - L1 >= c2.bit_length() - L2:
-        return 1
-    if c2.bit_length() - 1 - L2 >= c1.bit_length() - L1:
-        return -1
-    e = L2 - L1
-    a, b = (c1 << e, c2) if e >= 0 else (c1, c2 << -e)
-    return (a > b) - (a < b)
-
-
 def most_probable_length(table: EnsembleTable | LogEnsembleTable) -> int:
     """Total length maximizing count(L) * 2**-L, the weight of length L
     under an absolutely optimal code.  Ties go to the smallest length.
 
-    Exact integer comparison on an EnsembleTable; float comparison on a
-    LogEnsembleTable (argmax of log2 count - L).
+    On an EnsembleTable the weights are compared exactly as integers over
+    the common denominator 2**last, last the largest achievable length:
+    count(L) << (last - L).  On a LogEnsembleTable they are compared as
+    floats (argmax of log2 count - L).
     """
     if isinstance(table, EnsembleTable):
-        best: tuple[int, int] | None = None
-        for L, c in table.items():
-            if best is None or _weight_cmp(c, L, best[1], best[0]) > 0:
-                best = (L, c)
-        return best[0]
+        last = int(table.support[-1])
+        return max(table.items(), key=lambda item: item[1] << (last - item[0]))[0]
     arr = table.log2_array()
     scores = arr - (table.offset + np.arange(len(arr)))
     return int(table.offset + int(np.argmax(scores)))

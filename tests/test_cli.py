@@ -408,6 +408,45 @@ def test_prefixes_capacity_exit_three(capsys, canon_path):
     assert err.startswith("error: prefix table needs")
 
 
+def test_prefixes_step_capacity_exit_three(capsys, tmp_path, monkeypatch):
+    # fits the byte cap but needs 1.7e10 DP steps: refused before the
+    # reachability table is built
+    from thermocode import dimension, dump_code, random_complete_code
+
+    def built(*args):
+        raise AssertionError("the reachability table was built")
+
+    monkeypatch.setattr(dimension, "_achievable_rows", built)
+    path = tmp_path / "g4096.json"
+    path.write_text(dump_code(random_complete_code(4096, 1)))
+    rc, out, err = run(capsys, "prefixes", "--code", str(path), "-N", "100", "-L", "1501")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: prefix table needs 1.74e+10 DP steps")
+
+
+@pytest.mark.parametrize(
+    "argv, rows, matched",
+    [
+        (("-N", "600", "-L", "900", "--n-max", "100"), 101, True),
+        (("-N", "1", "-L", "1"), 2, False),  # L/N = l_min: no matched beta
+        (("-N", "4", "-L", "6", "--n-max", "1"), 2, True),
+    ],
+)
+def test_prefixes_short_of_the_fit_window(capsys, canon_path, argv, rows, matched):
+    # the default slope fit starts at ceil(0.2 * L); with fewer than two
+    # points in it the slope is nan, and the table and other notes still print
+    rc, out, err = run(capsys, "prefixes", "--code", canon_path, *argv)
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,count,log2_count"
+    assert len(lines) == 1 + rows
+    assert lines[1] == "0,1,0"
+    notes = kv(err)
+    assert notes["fitted_slope"] == "nan"
+    assert ("matched_beta" in notes) == matched
+
+
 def test_prefixes_negative_length_exit_two(capsys, canon_path):
     rc, out, err = run(capsys, "prefixes", "--code", canon_path, "-N", "2", "-L", "-5")
     assert rc == 2

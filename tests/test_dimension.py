@@ -187,6 +187,26 @@ def test_prefix_counts_capacity_guard(monkeypatch):
     assert prefix_counts(code, 4, 32).counts[-1] == count_messages(code.spectrum(), 4).count(32)
 
 
+def test_prefix_counts_step_guard(monkeypatch):
+    # canon at N=4, L=6 charges 6 * 2 nodes * 5 * 3 = 180 DP steps
+    monkeypatch.setattr(dimension, "MAX_PREFIX_STEPS", 179)
+    with pytest.raises(CapacityError, match="^prefix table needs 180 DP steps"):
+        prefix_counts(CANON, 4, 6)
+    monkeypatch.setattr(dimension, "MAX_PREFIX_STEPS", 180)
+    assert prefix_counts(CANON, 4, 6).counts[-1] == count_messages(CANON_SP, 4).count(6)
+    monkeypatch.undo()
+
+    # 4,095 nodes at N=100, L=1501 fit the byte cap (7.2 MB) but charge
+    # 1501 * 4095 * 101 * 28 = 1.7e10 steps, minutes of work: refused
+    # before the reachability table is built
+    def built(*args):
+        raise AssertionError("the reachability table was built")
+
+    monkeypatch.setattr(dimension, "_achievable_rows", built)
+    with pytest.raises(CapacityError, match=r"^prefix table needs 1\.74e\+10 DP steps"):
+        prefix_counts(random_complete_code(4096, 1), 100, 1501)
+
+
 def test_prefix_counts_truncated_depth():
     full = prefix_counts(CANON, 4, 6)
     part = prefix_counts(CANON, 4, 6, n_max=3)
@@ -212,6 +232,16 @@ def test_fit_dimension_range_handling():
         fit_dimension(table, n_lo=8, n_hi=8)  # fewer than two points
     with pytest.raises(ValueError):
         fit_dimension(table, n_lo=0, n_hi=99)
+
+
+def test_fit_dimension_default_window_too_short_is_nan():
+    # the default window starts at ceil(0.2 * total_bits) = 2
+    table = PrefixCountTable(3, 10, tuple(2**n for n in range(3)))
+    assert math.isnan(fit_dimension(table))
+    assert math.isnan(fit_dimension(PrefixCountTable(1, 1, (1, 1))))
+    assert fit_dimension(table, n_lo=0) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        fit_dimension(table, n_lo=2)
 
 
 def test_fitted_slope_tracks_dimension_moderate_size():

@@ -413,6 +413,25 @@ def test_most_probable_length_matches_fraction_oracle():
         code = random_complete_code(2 + seed % 14, seed)
         table = count_messages(code.spectrum(), 1 + seed % 9)
         assert most_probable_length(table) == brute_most_probable(table)
+    # lengths {1, 3}: lattice step 2, binomial (palindromic) counts, and at
+    # N = 5k + 4 an exact tie between N + 2k and N + 2k + 2 at the top
+    sparse = Code({"a": "0", "b": "111"}).spectrum()
+    for n in range(1, 41):
+        table = count_messages(sparse, n)
+        assert most_probable_length(table) == brute_most_probable(table)
+        if n % 5 == 4:
+            assert most_probable_length(table) == n + 2 * (n - 4) // 5
+    # d_min > 1, a single length, and longer messages
+    spectra = (
+        LengthSpectrum({2: 3, 3: 2}),
+        LengthSpectrum({2: 2, 3: 2, 4: 4}),
+        LengthSpectrum({3: 8}),
+        random_complete_code(16, 5).spectrum(),
+    )
+    for sp in spectra:
+        for n in (1, 2, 7, 25, 40):
+            table = count_messages(sp, n)
+            assert most_probable_length(table) == brute_most_probable(table)
 
 
 def test_most_probable_length_log_agrees_with_exact():

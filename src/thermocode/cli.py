@@ -455,9 +455,19 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # exact counts can run to millions of digits (the capacity guard bounds
     # a table's total bits, not the digits of one count); lift the
-    # interpreter's int-to-str cap so they print instead of raising
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # interpreter's int-to-str cap while main runs so they print instead of
+    # raising, and give an in-process caller its own cap back on return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):

@@ -78,11 +78,9 @@ class Pmf:
                     p = Fraction(p)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad probability for {token!r}: {exc}") from exc
-            elif isinstance(p, Fraction):
-                pass
-            elif isinstance(p, float):
-                pass
-            else:
+            elif isinstance(p, float) and not math.isfinite(p):
+                raise ParseError(f"probability of {token!r} must be finite, got {p}")
+            elif not isinstance(p, (Fraction, float)):
                 raise ParseError(f"probability of {token!r} must be a number")
             if p <= 0:
                 raise ParseError(f"probability of {token!r} must be positive")

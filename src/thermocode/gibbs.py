@@ -7,12 +7,15 @@ dyadic law 2**-l of an absolutely optimal code, beta = 0 is the uniform law
 (temperature +-infinity), and beta < 0 weights long codewords up.
 
 Everything is evaluated through log2-domain sums with the dominant term
-factored out, so betas far beyond the overflow range of 2.0**x are fine.
+factored out, so betas far beyond the overflow range of 2.0**x are fine:
+any beta with beta * l_max finite, that is |beta| below about
+1.8e308 / l_max.  Larger betas are refused with ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -50,6 +53,9 @@ def temperature_from_beta(beta: float) -> float:
 
 def _stats(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, float]:
     """(log2 Z, mean length, length variance) at inverse temperature beta."""
+    if not math.isfinite(beta * spectrum.l_max):
+        limit = sys.float_info.max / spectrum.l_max
+        raise ValueError(f"beta {beta!r} is out of range: |beta| must stay below about {limit:.6g}")
     lengths = np.array(spectrum.lengths, dtype=np.float64)
     counts = np.array([spectrum.count(l) for l in spectrum.lengths], dtype=np.float64)
     log2w = np.log2(counts) - beta * lengths

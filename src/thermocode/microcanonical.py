@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf
@@ -41,10 +42,11 @@ __all__ = [
 ]
 
 # Exact tables refuse when their cells could need more than this many bits in
-# all (512 MiB), each cell charged a 64-bit list slot plus its count's bound:
-# canon {0, 10, 11} passes up to N of about 52,000.  The log-domain table
-# runs the same recurrence but keeps only span + 1 counts alive, so it has no
-# size cap; its time still grows as N**2 * span * #lengths.
+# all (512 MiB), each cell charged 128 bits (a 64-bit list slot and the
+# float64 log2 of its count) plus its count's bound: canon {0, 10, 11}
+# passes up to N of about 52,000.  The log-domain table runs the same
+# recurrence but keeps only span + 1 counts alive, so it has no size cap; its
+# time still grows as N**2 * span * #lengths.
 MAX_EXACT_BITS = 2**32
 
 # Literal enumeration refuses more than this many messages.
@@ -56,71 +58,20 @@ MAX_BRUTE_MESSAGES = 10_000_000
 _SAMPLE_CHUNK_CELLS = 1_000_000
 
 
-class EnsembleTable:
-    """Exact counts of coded messages by total bit length.
-
-    Stores the coefficient list of the length-counting polynomial raised to
-    the n_symbols power.  Counts are Python ints, so they never overflow.
-    """
-
-    __slots__ = ("n_symbols", "_offset", "_coeffs", "_support")
-
-    def __init__(self, n_symbols: int, offset: int, coeffs: list[int]):
-        self.n_symbols = n_symbols
-        self._offset = offset
-        self._coeffs = coeffs
-        self._support = np.array(
-            [offset + i for i, c in enumerate(coeffs) if c], dtype=np.int64
-        )
-
-    @property
-    def support(self) -> np.ndarray:
-        """Achievable total lengths, ascending."""
-        return self._support
-
-    def count(self, total_bits: int) -> int:
-        """Number of messages encoding to exactly total_bits; 0 if none."""
-        i = total_bits - self._offset
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
-
-    def log2_count(self, total_bits: int) -> float:
-        c = self.count(total_bits)
-        return math.log2(c) if c else -math.inf
-
-    def _entropies(self) -> np.ndarray:
-        """log2 of the count at each support point."""
-        return np.array([math.log2(c) for c in self._coeffs if c])
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """(total_bits, count) pairs over the support, ascending."""
-        for i, c in enumerate(self._coeffs):
-            if c:
-                yield self._offset + i, c
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.items())
-
-    def total_probability(self, kraft: object) -> object:
-        """sum count(L) * 2**-L, exactly, given the code's Kraft sum is kraft.
-
-        Included for checking: the result always equals kraft**n_symbols.
-        The sum itself is computed directly from the table.
-        """
-        from fractions import Fraction
-
-        return sum(
-            (Fraction(c, 2**L) for L, c in self.items()), start=Fraction(0)
-        )
+def _log2_counts(counts: Iterable[int], n_cells: int) -> np.ndarray:
+    """math.log2 of each of n_cells exact counts as float64, -inf for 0."""
+    return np.fromiter(
+        (math.log2(c) if c else -math.inf for c in counts), dtype=np.float64, count=n_cells
+    )
 
 
 class LogEnsembleTable:
     """log2 of the message counts, as a dense float array over the lattice.
 
     Unachievable lengths hold -inf.  count_messages_log fills it with
-    math.log2 of each exact count, so its values equal EnsembleTable's
-    log2_count bit for bit; iter_log_tables' tables agree to float rounding.
+    math.log2 of each exact count, so its values equal EnsembleTable's bit
+    for bit; iter_log_tables' tables agree to float rounding.  An
+    EnsembleTable is this table plus its integers.
     """
 
     __slots__ = ("n_symbols", "_offset", "_log2", "_support")
@@ -160,6 +111,44 @@ class LogEnsembleTable:
     @property
     def offset(self) -> int:
         return self._offset
+
+
+class EnsembleTable(LogEnsembleTable):
+    """Exact counts of coded messages by total bit length.
+
+    A LogEnsembleTable plus its integers: the coefficient list of the
+    length-counting polynomial raised to the n_symbols power, as Python ints
+    that never overflow.  Everything but the integer readers below reads
+    the log2 array built from them.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, n_symbols: int, offset: int, coeffs: list[int]):
+        super().__init__(n_symbols, offset, _log2_counts(coeffs, len(coeffs)))
+        self._coeffs = coeffs
+
+    def count(self, total_bits: int) -> int:
+        """Number of messages encoding to exactly total_bits; 0 if none."""
+        i = total_bits - self._offset
+        if 0 <= i < len(self._coeffs):
+            return self._coeffs[i]
+        return 0
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """(total_bits, count) pairs over the support, ascending."""
+        return ((L, self._coeffs[L - self._offset]) for L in self._support.tolist())
+
+    def to_dict(self) -> dict[int, int]:
+        return dict(self.items())
+
+    def total_probability(self, kraft: object) -> object:
+        """sum count(L) * 2**-L, exactly, given the code's Kraft sum is kraft.
+
+        Included for checking: the result always equals kraft**n_symbols.
+        The sum itself is computed directly from the table.
+        """
+        return sum((Fraction(c, 2**L) for L, c in self.items()), start=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -209,14 +198,15 @@ def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
 
     N*span*#lengths big-integer steps (see _miller).  No count exceeds
     n_codewords**N, so each of the N*span + 1 cells holds a list slot (64
-    bits) and at most N*log2(n_codewords) bits of count.  Past MAX_EXACT_BITS
-    in all it raises CapacityError before computing anything; use
-    count_messages_log for those.
+    bits), the float64 log2 of its count (64 bits) and at most
+    N*log2(n_codewords) bits of count.  Past MAX_EXACT_BITS in all it raises
+    CapacityError before computing anything; use count_messages_log for
+    those.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     span = spectrum.l_max - spectrum.l_min
-    bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 64)
+    bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 128)
     if bits > MAX_EXACT_BITS:
         raise CapacityError(
             f"exact table needs up to {bits:.3g} bits (cap {MAX_EXACT_BITS}); "
@@ -242,11 +232,8 @@ def count_messages_brute(
         )
     lengths = [len(code.codeword(s)) for s in code.symbols]
     tally = Counter(map(sum, product(lengths, repeat=n_symbols)))
-    lo, hi = min(tally), max(tally)
-    coeffs = [0] * (hi - lo + 1)
-    for total, c in tally.items():
-        coeffs[total - lo] = c
-    return EnsembleTable(n_symbols, lo, coeffs)
+    lo = min(tally)
+    return EnsembleTable(n_symbols, lo, [tally[total] for total in range(lo, max(tally) + 1)])
 
 
 def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleTable:
@@ -258,11 +245,8 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    log2_counts = np.fromiter(
-        (math.log2(c) if c else -math.inf for c in _miller(spectrum, n_symbols)),
-        dtype=np.float64,
-        count=n_symbols * (spectrum.l_max - spectrum.l_min) + 1,
-    )
+    n_cells = n_symbols * (spectrum.l_max - spectrum.l_min) + 1
+    log2_counts = _log2_counts(_miller(spectrum, n_symbols), n_cells)
     return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
 
 
@@ -282,11 +266,8 @@ def iter_log_tables(
     l_min = spectrum.l_min
     span = spectrum.l_max - l_min
     base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
-    lw = np.full(span + 1, -np.inf)
-    for off, ld in base:
-        lw[off] = ld
-    yield LogEnsembleTable(1, l_min, lw)
-    for n in range(2, n_max + 1):
+    lw = np.zeros(1)  # n = 0: only the empty message, at length 0
+    for n in range(1, n_max + 1):
         new = np.full(len(lw) + span, -np.inf)
         for off, ld in base:
             seg = new[off : off + len(lw)]
@@ -295,16 +276,22 @@ def iter_log_tables(
         yield LogEnsembleTable(n, n * l_min, lw)
 
 
-def entropy_at(table: EnsembleTable | LogEnsembleTable, total_bits: int) -> float:
-    """Microcanonical entropy log2(count) in bits at one total length."""
-    s = table.log2_count(total_bits)
-    if s == -math.inf:
-        support = table.support
+def _support_position(table: LogEnsembleTable, total_bits: int) -> int:
+    """Index of total_bits in table.support; refuses an unachievable length."""
+    support = table.support
+    pos = int(np.searchsorted(support, total_bits))
+    if pos >= len(support) or support[pos] != total_bits:
         raise UnachievableLengthError(
             f"no message encodes to {total_bits} bits "
             f"(achievable range {int(support[0])}..{int(support[-1])})"
         )
-    return s
+    return pos
+
+
+def entropy_at(table: LogEnsembleTable, total_bits: int) -> float:
+    """Microcanonical entropy log2(count) in bits at one total length."""
+    _support_position(table, total_bits)
+    return table.log2_count(total_bits)
 
 
 def _temperatures(lengths: np.ndarray, entropies: np.ndarray) -> np.ndarray:
@@ -328,9 +315,7 @@ def _temperatures(lengths: np.ndarray, entropies: np.ndarray) -> np.ndarray:
     return t
 
 
-def temperature_at(
-    table: EnsembleTable | LogEnsembleTable, total_bits: int
-) -> TemperatureEstimate:
+def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstimate:
     """Discrete temperature dL/dS at an achievable total length.
 
     Uses the central difference over the nearest achievable neighbours;
@@ -343,17 +328,12 @@ def temperature_at(
         raise UnachievableLengthError(
             "support has a single achievable length; no temperature is defined"
         )
-    pos = int(np.searchsorted(support, total_bits))
-    if pos >= len(support) or support[pos] != total_bits:
-        raise UnachievableLengthError(
-            f"no message encodes to {total_bits} bits "
-            f"(achievable range {int(support[0])}..{int(support[-1])})"
-        )
+    pos = _support_position(table, total_bits)
     value = float(_temperatures(support, table._entropies())[pos])
     return TemperatureEstimate(value, pos in (0, len(support) - 1))
 
 
-def most_probable_length(table: EnsembleTable | LogEnsembleTable) -> int:
+def most_probable_length(table: LogEnsembleTable) -> int:
     """Total length maximizing count(L) * 2**-L, the weight of length L
     under an absolutely optimal code.  Ties go to the smallest length.
 

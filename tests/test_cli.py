@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -66,6 +68,16 @@ def test_check_rejects_prefix_violation(capsys, tmp_path):
     rc, _, err = run(capsys, "check", "--code", str(p))
     assert rc == 1
     assert "error:" in err and "prefix" in err
+
+
+def test_check_refuses_nan_probability(capsys, tmp_path):
+    # Python's json reads a bare NaN; the pmf must not take it
+    p = tmp_path / "nan.json"
+    p.write_text(CANON_DOC.replace('"0.5"', "NaN"))
+    rc, out, err = run(capsys, "check", "--code", str(p))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: probability of 'a' must be finite, got nan\n"
 
 
 def test_missing_file_is_exit_one(capsys):
@@ -137,7 +149,16 @@ def test_omega_huge_degenerate_count_still_prints(capsys, tmp_path):
     assert len(lines) == 2
     omega = lines[1].split(",")[1]
     assert len(omega) > 50000  # 64**30000 has ~54000 digits
-    assert omega == str(64**30000)
+    # main gives the caller its int-to-str limit back, so lift it here to
+    # print the expected count
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert omega == str(64**30000)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +223,11 @@ def test_non_finite_length_exit_two(capsys, canon_path, argv, value):
         ("omega", "--code", "@canon", "-N", "3", "--window", "-1", "--mode", "log"),
         ("dimension", "--code", "@canon", "--grid=0:inf:3"),
         ("dimension", "--code", "@canon", "--grid=-inf:0:3"),
+        ("dimension", "--code", "@canon", "--grid=0:1"),
+        ("dimension", "--code", "@canon", "--grid=a:1:3"),
     ],
-    ids=["window-nan", "window-negative", "window-negative-log", "grid-inf-hi", "grid-inf-lo"],
+    ids=["window-nan", "window-negative", "window-negative-log", "grid-inf-hi", "grid-inf-lo",
+         "grid-two-fields", "grid-not-a-number"],
 )
 def test_bad_float_option_exit_one(capsys, canon_path, argv):
     rc, out, err = run(capsys, *[canon_path if a == "@canon" else a for a in argv])
@@ -215,6 +239,32 @@ def test_bad_float_option_exit_one(capsys, canon_path, argv):
 # ---------------------------------------------------------------------------
 # gibbs / solve-temp
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gibbs", "--beta=6e307"),
+        ("gibbs", "--beta=-6e307"),
+        ("gibbs", "--beta=1e308"),
+        ("gibbs", "--beta=-1e308"),
+        ("dimension", "--grid=-1e308:-1e308:1"),
+    ],
+    ids=["gibbs-6e307", "gibbs-minus-6e307", "gibbs-1e308", "gibbs-minus-1e308", "dimension"],
+)
+def test_beta_past_the_float_range_exit_one(capsys, tmp_path, argv):
+    # lengths {2, 3}: beta * l_max overflows once |beta| passes about 5.99e307
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps({"code": [{"symbol": "a", "codeword": "00"},
+                                      {"symbol": "b", "codeword": "010"}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, argv[0], "--code", str(p), *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: beta ") and "must stay below about 5.99231e+307" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+
 
 def test_gibbs_at_unit_beta(capsys, canon_path):
     rc, out, _ = run(capsys, "gibbs", "--code", canon_path, "--beta", "1")
@@ -507,6 +557,23 @@ def test_no_subcommand_prints_help(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "usage" in captured.err.lower()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_main_restores_the_callers_int_digit_limit(capsys, canon_path):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert main(["check", "--code", canon_path]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(["check", "--code", "/nonexistent/code.json"]) == 1
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["check"])  # usage error: argparse exits
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()
 
 
 def test_output_file_writing_and_determinism(tmp_path, canon_path, capsys):

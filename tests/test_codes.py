@@ -69,6 +69,26 @@ def test_pmf_rejects_nonpositive():
         Pmf({"a": -0.25, "b": 1.25})
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ({}, "at least one symbol"),
+        ({"a": True}, "'a' must be a number"),
+        ({"a": "half"}, "bad probability for 'a'"),
+        ({"a": "1/0"}, "bad probability for 'a'"),
+        ({"a": [1]}, "'a' must be a number"),
+        ({"a": None}, "'a' must be a number"),
+        ({"a": math.nan, "b": 0.5}, "'a' must be finite, got nan"),
+        ({"a": math.inf}, "'a' must be finite, got inf"),
+        ({"a": 0.5, "b": -math.inf}, "'b' must be finite, got -inf"),
+    ],
+    ids=["empty", "bool", "unparsable", "zero-denominator", "list", "none", "nan", "inf", "minus-inf"],
+)
+def test_pmf_refuses_bad_values(probs, message):
+    with pytest.raises(ParseError, match=message):
+        Pmf(probs)
+
+
 # ---------------------------------------------------------------------------
 # LengthSpectrum
 # ---------------------------------------------------------------------------
@@ -325,6 +345,29 @@ def test_dump_parse_round_trip():
     assert probs == {"a": "0.5", "b": "0.25", "c": "0.25"}
 
 
+@pytest.mark.parametrize(
+    "words, probs, written",
+    [
+        # float probabilities are written as JSON numbers
+        (CANON, {"a": 0.5, "b": 0.25, "c": 0.25}, {"a": 0.5, "b": 0.25, "c": 0.25}),
+        # a non-dyadic Fraction has no finite decimal and falls back to a float
+        (CANON, {"a": Fraction(1, 3), "b": Fraction(1, 3), "c": Fraction(1, 3)},
+         {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}),
+        # probability 1 is the one dyadic value without a "0." prefix
+        ({"a": "0"}, {"a": Fraction(1)}, {"a": "1"}),
+    ],
+    ids=["float", "non-dyadic-fraction", "one"],
+)
+def test_dump_code_probability_forms(words, probs, written):
+    code = Code(words)
+    text = dump_code(code, Pmf(probs))
+    doc = json.loads(text)
+    assert {row["symbol"]: row["prob"] for row in doc["code"]} == written
+    code2, pmf2 = parse_code(text)
+    assert code2 == code
+    assert pmf2 == Pmf(written)
+
+
 # ---------------------------------------------------------------------------
 # Kraft sum, entropy, average length, optimality
 # ---------------------------------------------------------------------------
@@ -355,6 +398,18 @@ def test_average_length_exact_identity():
     assert avg == shannon_entropy(pmf) == Fraction(3, 2)
 
 
+def test_entropy_and_average_length_of_float_pmf():
+    # a float pmf stays float even when every value is a power of two
+    dyadic = Pmf({"a": 0.5, "b": 0.25, "c": 0.25})
+    h = shannon_entropy(dyadic)
+    assert isinstance(h, float) and h == 1.5
+    avg = average_codeword_length(Code(CANON), dyadic)
+    assert isinstance(avg, float) and avg == 1.5
+    skewed = Pmf({"a": 0.6, "b": 0.2, "c": 0.2})
+    assert abs(shannon_entropy(skewed) - (0.6 * math.log2(1 / 0.6) + 0.4 * math.log2(5))) < 1e-12
+    assert average_codeword_length(Code(CANON), skewed) == pytest.approx(1.4, abs=1e-15)
+
+
 def test_average_length_alphabet_mismatch():
     with pytest.raises(UnknownSymbolError):
         average_codeword_length(Code(CANON), Pmf({"a": "0.5", "b": "0.5"}))
@@ -368,6 +423,15 @@ def test_absolute_optimality():
     # incomplete code: no pmf over its alphabet can be dyadic everywhere
     partial = Code({"a": "0", "b": "10"})
     assert not is_absolutely_optimal(partial, Pmf({"a": "0.5", "b": "0.5"}))
+
+
+def test_absolute_optimality_float_pmf_and_alphabet():
+    code = Code(CANON)
+    # float mode compares within PROB_TOL, both ways
+    assert is_absolutely_optimal(code, Pmf({"a": 0.5 + 1e-13, "b": 0.25, "c": 0.25 - 1e-13}))
+    assert not is_absolutely_optimal(code, Pmf({"a": 0.5, "b": 0.3, "c": 0.2}))
+    with pytest.raises(UnknownSymbolError):
+        is_absolutely_optimal(code, Pmf({"a": "0.5", "b": "0.5"}))
 
 
 def test_dyadic_pmf_requires_complete():

@@ -14,6 +14,7 @@ from thermocode import (
     beta_for_mean_length,
     beta_from_temperature,
     boltzmann_planck_entropy,
+    box_dimension,
     count_messages,
     dyadic_pmf,
     entropy_at,
@@ -142,6 +143,31 @@ def test_extreme_beta_stable():
         assert state.variance == pytest.approx(0.0, abs=1e-12)
     assert gibbs_state(FIVE_SP, 700.0).mean_length == 1.0
     assert gibbs_state(FIVE_SP, -700.0).mean_length == 3.0
+
+
+def test_partition_sum_overflows_to_inf():
+    # the two 2-bit words dominate: log2 Z is about 1 + 2000, finite, though
+    # 2**log2_z is past the float range
+    state = gibbs_state(CANON_SP, -1000.0)
+    assert state.log2_z == pytest.approx(2001.0)
+    assert state.z == math.inf
+    assert state.mean_length == 2.0
+
+
+def test_beta_range_is_bounded_by_l_max():
+    # lengths {2, 3}: beta * 3 overflows past about 5.99e307
+    sp = LengthSpectrum({2: 1, 3: 1})
+    for beta in (6e307, -6e307, 1e308, -1e308):
+        for call in (gibbs_state, mean_length):
+            with pytest.raises(ValueError, match=r"\|beta\| must stay below about 5\.99231e\+307"):
+                call(sp, beta)
+    with pytest.raises(ValueError, match="beta"):
+        box_dimension(sp, -1e308)
+    # just inside the limit every quantity is still finite
+    for beta in (5.99e307, -5.99e307):
+        state = gibbs_state(sp, beta)
+        assert state.mean_length == (2.0 if beta > 0 else 3.0)
+        assert math.isfinite(state.log2_z) and math.isfinite(state.entropy)
 
 
 # ---------------------------------------------------------------------------

@@ -184,17 +184,17 @@ def test_capacity_guard_bounds_bits_not_cells():
 
 def test_capacity_guard_charges_every_cell(monkeypatch):
     # small counts over a long span: the bits of the counts alone come to
-    # about 3.3e9 and 2**31, under the cap, but the lists would hold 4.7e8
-    # and 2**31 cells (3.8 GB and 17 GB of slots)
+    # about 3.3e9 and 2**31, under the cap, but the tables would hold 4.7e8
+    # and 2**31 cells (7.5 GB and 34 GB of list slots and log2 floats)
     with pytest.raises(CapacityError):
         count_messages(LengthSpectrum({1: 1, 2**26: 1}), 7)
     with pytest.raises(CapacityError):
         count_messages(LengthSpectrum({1: 1, 2**31: 1}), 1)
-    # canon at N=100 is (100 + 1) * (100*log2(3) + 64) bits, about 22,500
-    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 22_000)
+    # canon at N=100 is (100 + 1) * (100*log2(3) + 128) bits, about 28,900
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 28_500)
     with pytest.raises(CapacityError):
         count_messages(CANON_SP, 100)
-    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 23_000)
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 29_500)
     assert sum(c for _, c in count_messages(CANON_SP, 100).items()) == 3**100
 
 
@@ -239,6 +239,30 @@ def test_log_table_is_log2_of_exact_counts():
             assert logt.support.tolist() == exact.support.tolist()
             want = [math.log2(c) for _, c in exact.items()]
             assert logt._entropies().tolist() == want, (sp.degeneracy, n)
+
+
+def test_exact_table_is_the_log_table_plus_its_integers():
+    # d_min > 1, lattice steps 2 and 6, and a single length: the exact
+    # table's log2 array is the log table's, bit for bit
+    spectra = [
+        LengthSpectrum({3: 2, 4: 3, 6: 2}),
+        LengthSpectrum({2: 2, 4: 3, 8: 16}),
+        LengthSpectrum({1: 1, 7: 2}),
+        LengthSpectrum({5: 32}),
+        GAPPY.spectrum(),
+    ]
+    for sp in spectra:
+        for n in (1, 2, 9, 40):
+            exact = count_messages(sp, n)
+            logt = count_messages_log(sp, n)
+            assert isinstance(exact, LogEnsembleTable)
+            assert exact.log2_array().tobytes() == logt.log2_array().tobytes(), (sp.degeneracy, n)
+            assert exact.offset == logt.offset and exact.n_symbols == logt.n_symbols == n
+            assert exact.support.tolist() == logt.support.tolist() == list(exact.to_dict())
+        # the sweep's first table, one convolution of the empty message, is
+        # log2 of the degeneracies exactly
+        first = next(iter_log_tables(sp, 1))
+        assert first.log2_array().tobytes() == count_messages_log(sp, 1).log2_array().tobytes()
 
 
 def test_log_table_past_the_exact_guard():

@@ -463,17 +463,22 @@ def shannon_entropy(pmf: Pmf) -> Fraction | float:
     return -math.fsum(float(p) * math.log2(float(p)) for _, p in pmf.items())
 
 
+def _check_alphabet(code: Code, pmf: Pmf) -> None:
+    """Refuse a pmf whose symbols are not exactly the code's."""
+    if pmf.symbols != code.symbols:
+        raise UnknownSymbolError(
+            "pmf alphabet does not match the code "
+            f"(code {list(code.symbols)}, pmf {list(pmf.symbols)})"
+        )
+
+
 def average_codeword_length(code: Code, pmf: Pmf) -> Fraction | float:
     """Expected codeword length sum(p(x) * len(w(x))) in bits.
 
     Exact (Fraction) for an exact pmf, float otherwise.  The pmf must cover
     exactly the code's alphabet.
     """
-    if pmf.symbols != code.symbols:
-        raise UnknownSymbolError(
-            "pmf alphabet does not match the code "
-            f"(code {list(code.symbols)}, pmf {list(pmf.symbols)})"
-        )
+    _check_alphabet(code, pmf)
     if pmf.exact:
         return sum(
             (p * code.length(token) for token, p in pmf.items()), start=Fraction(0)
@@ -487,11 +492,7 @@ def is_absolutely_optimal(code: Code, pmf: Pmf) -> bool:
     Exact comparison for exact pmfs, PROB_TOL comparison for float pmfs.
     Equivalent to the average codeword length meeting the entropy exactly.
     """
-    if pmf.symbols != code.symbols:
-        raise UnknownSymbolError(
-            "pmf alphabet does not match the code "
-            f"(code {list(code.symbols)}, pmf {list(pmf.symbols)})"
-        )
+    _check_alphabet(code, pmf)
     for token, p in pmf.items():
         target = Fraction(1, 2 ** code.length(token))
         if isinstance(p, Fraction):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .codes import LengthSpectrum
 from .errors import InfeasibleError, UnachievableLengthError
-from .gibbs import _LN2, _stats, temperature_from_beta
+from .gibbs import _mean_total, _stats, temperature_from_beta
 from .microcanonical import count_messages
 from .rootfind import solve_decreasing
 
@@ -71,8 +71,6 @@ class Allocation:
 
     @property
     def temperature(self) -> float:
-        if math.isnan(self.beta_star):
-            return math.nan
         return temperature_from_beta(self.beta_star)
 
 
@@ -106,12 +104,7 @@ def solve_equilibrium(system: TwoCodeSystem, total_bits: float) -> Allocation:
             f"total_bits {total_bits} outside the open feasible range ({lo}, {hi})"
         )
 
-    def f(beta: float) -> float:
-        return n1 * _stats(sp1, beta)[1] + n2 * _stats(sp2, beta)[1]
-
-    def df(beta: float) -> float:
-        return -_LN2 * (n1 * _stats(sp1, beta)[2] + n2 * _stats(sp2, beta)[2])
-
+    f, df = _mean_total([(sp1, n1), (sp2, n2)])
     tol = max(1e-9, 16.0 * math.ulp(float(total_bits)))
     beta = solve_decreasing(f, total_bits, df=df, f_tol=tol)
     bits_first = n1 * _stats(sp1, beta)[1]

@@ -9,7 +9,7 @@ dyadic law 2**-l of an absolutely optimal code, beta = 0 is the uniform law
 Everything is evaluated through log2-domain sums with the dominant term
 factored out, so betas far beyond the overflow range of 2.0**x are fine:
 any beta with beta * l_max finite, that is |beta| below about
-1.8e308 / l_max.  Larger betas are refused with ValueError.
+1.8e308 / l_max.  Larger betas, +-inf and nan are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -69,6 +69,20 @@ def _stats(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, float]:
     return log2_z, mean, max(var, 0.0)
 
 
+def _mean_total(parts: list[tuple[LengthSpectrum, int]]):
+    """(f, df): the total mean length sum(n * mean(beta)) over (spectrum, n)
+    parts, and its derivative -ln2 * sum(n * variance(beta)), for
+    solve_decreasing."""
+
+    def f(beta: float) -> float:
+        return sum(n * _stats(spectrum, beta)[1] for spectrum, n in parts)
+
+    def df(beta: float) -> float:
+        return -_LN2 * sum(n * _stats(spectrum, beta)[2] for spectrum, n in parts)
+
+    return f, df
+
+
 @dataclass(frozen=True)
 class GibbsState:
     """Canonical state of one code at a given inverse temperature.
@@ -104,16 +118,18 @@ class GibbsState:
 
     def pmf_for(self, code: Code) -> Pmf:
         """Materialize the per-symbol pmf for a concrete code with this
-        spectrum."""
+        spectrum.  Refused with ValueError when a codeword's probability
+        underflows to 0.0, as it does at a steep beta."""
         if code.spectrum() != self.spectrum:
             raise ValueError("code spectrum does not match this state")
+        for l, p in self.length_prob.items():
+            if p == 0.0:
+                raise ValueError(f"at beta {self.beta!r} the probability of a length-{l} codeword underflows to 0")
         return Pmf({s: self.length_prob[code.length(s)] for s in code.symbols})
 
 
 def gibbs_state(spectrum: LengthSpectrum, beta: float) -> GibbsState:
     """Canonical state with symbol weights 2**(-beta * length)."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite; use beta=0 for infinite temperature")
     log2_z, mean, var = _stats(spectrum, beta)
     # log2 p(l) = -beta*l - log2 Z is exact in the log domain; exponentiate last.
     length_prob = {
@@ -135,8 +151,6 @@ def mean_length(spectrum: LengthSpectrum, beta: float) -> float:
     Strictly decreasing in beta, from l_max (beta -> -inf) to l_min
     (beta -> +inf); its derivative is -ln2 times the length variance.
     """
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
     return _stats(spectrum, beta)[1]
 
 
@@ -156,13 +170,7 @@ def beta_for_mean_length(spectrum: LengthSpectrum, target: float) -> float:
         raise InfeasibleError(
             f"target mean length {target} outside ({spectrum.l_min}, {spectrum.l_max})"
         )
-
-    def f(beta: float) -> float:
-        return _stats(spectrum, beta)[1]
-
-    def df(beta: float) -> float:
-        return -_LN2 * _stats(spectrum, beta)[2]
-
+    f, df = _mean_total([(spectrum, 1)])
     return solve_decreasing(f, target, df=df, f_tol=1e-12)
 
 
@@ -174,16 +182,11 @@ def boltzmann_planck_entropy(
     The matching state is the canonical one whose mean codeword length is
     total_bits / n_symbols.  Overestimates the exact microcanonical entropy
     log2(count) by an O(log n_symbols) margin that vanishes in relative
-    terms as n_symbols grows.
+    terms as n_symbols grows.  A matched mean outside (l_min, l_max), or a
+    degenerate spectrum, raises beta_for_mean_length's InfeasibleError.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    lo = n_symbols * spectrum.l_min
-    hi = n_symbols * spectrum.l_max
-    if not lo < total_bits < hi:
-        raise InfeasibleError(
-            f"total_bits {total_bits} outside the open range ({lo}, {hi})"
-        )
     beta = beta_for_mean_length(spectrum, total_bits / n_symbols)
     state = gibbs_state(spectrum, beta)
     return n_symbols * state.entropy

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from ._lazy import np
-from .codes import Code, LengthSpectrum, Pmf
+from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
 from .errors import CapacityError, UnachievableLengthError
 
 __all__ = [
@@ -290,8 +290,8 @@ def _support_position(table: LogEnsembleTable, total_bits: int) -> int:
 
 def entropy_at(table: LogEnsembleTable, total_bits: int) -> float:
     """Microcanonical entropy log2(count) in bits at one total length."""
-    _support_position(table, total_bits)
-    return table.log2_count(total_bits)
+    pos = _support_position(table, total_bits)
+    return table.log2_count(int(table.support[pos]))
 
 
 def _temperatures(lengths: np.ndarray, entropies: np.ndarray) -> np.ndarray:
@@ -390,8 +390,7 @@ def sample_messages(
         raise ValueError("n_symbols must be at least 1")
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if pmf.symbols != code.symbols:
-        raise ValueError("pmf alphabet does not match the code")
+    _check_alphabet(code, pmf)
     rng = np.random.default_rng(seed)
     words = [code.codeword(s) for s in code.symbols]
     lengths = np.array([len(w) for w in words], dtype=np.int64)

@@ -12,34 +12,33 @@ from typing import Callable
 
 __all__ = ["solve_decreasing"]
 
+# Every solve starts from this bracket and doubles each end outward.
+_START_LO, _START_HI = -1.0, 1.0
 # Hard ceiling on bracket expansion; any feasible target is bracketed long
 # before this because f approaches its limits exponentially fast.
 _MAX_EXPAND = 2000
+# Step ceiling once bracketed; halving alone collapses a float64 bracket sooner.
+_MAX_ITER = 200
 
 
 def solve_decreasing(
     f: Callable[[float], float],
     target: float,
-    df: Callable[[float], float] | None = None,
-    lo: float = -1.0,
-    hi: float = 1.0,
+    df: Callable[[float], float],
     f_tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
-    """Solve f(x) = target for strictly decreasing f.
+    """Solve f(x) = target for strictly decreasing f with derivative df.
 
-    Starts from the bracket [lo, hi] and grows it geometrically until it
-    straddles the target.  Then iterates Newton steps (when df is given)
-    safeguarded by bisection: a step is rejected in favour of the midpoint
-    whenever it would leave the bracket or fail to shrink faster than
-    halving, so progress is at worst geometric.  Iteration continues until
-    the bracket collapses to machine precision, making the returned point as
-    sharp as float64 allows; f_tol is the guaranteed bound on the residual
+    Starts from the bracket [-1, 1] and doubles its ends outward until it
+    straddles the target.  Then iterates Newton steps safeguarded by
+    bisection: a step is rejected in favour of the midpoint whenever it
+    would leave the bracket or fail to shrink faster than halving, so
+    progress is at worst geometric.  Iteration continues until the bracket
+    collapses to machine precision, making the returned point as sharp as
+    float64 allows; f_tol is the guaranteed bound on the residual
     |f(x) - target|, checked at the end.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi to start the bracket")
-
+    lo, hi = _START_LO, _START_HI
     flo = f(lo)
     fhi = f(hi)
     # Grow left until f(lo) >= target (f decreasing: the left end is the high side).
@@ -47,7 +46,7 @@ def solve_decreasing(
         if flo >= target:
             break
         hi, fhi = lo, flo
-        lo = 2.0 * lo if lo < 0 else -1.0
+        lo = 2.0 * lo
         flo = f(lo)
     else:
         raise ValueError(f"could not bracket target {target} from the left")
@@ -56,7 +55,7 @@ def solve_decreasing(
         if fhi <= target:
             break
         lo, flo = hi, fhi
-        hi = 2.0 * hi if hi > 0 else 1.0
+        hi = 2.0 * hi
         fhi = f(hi)
     else:
         raise ValueError(f"could not bracket target {target} from the right")
@@ -68,7 +67,7 @@ def solve_decreasing(
     x = 0.5 * (lo + hi)
     step_prev = hi - lo
     step = step_prev
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"function returned nan at {x}")
@@ -84,18 +83,15 @@ def solve_decreasing(
         width = hi - lo
         if width <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
             break
-        x_next = math.nan
-        if df is not None:
-            d = df(x)
-            if d != 0.0 and math.isfinite(d):
-                candidate = x - (fx - target) / d
-                # Accept only if inside the bracket and at least as fast as
-                # bisection relative to the step before last (rtsafe rule).
-                if lo < candidate < hi and 2.0 * gap <= abs(step_prev * d):
-                    x_next = candidate
+        x_next = lo + 0.5 * width
+        d = df(x)
+        if d != 0.0 and math.isfinite(d):
+            candidate = x - (fx - target) / d
+            # Accept only if inside the bracket and at least as fast as
+            # bisection relative to the step before last (rtsafe rule).
+            if lo < candidate < hi and 2.0 * gap <= abs(step_prev * d):
+                x_next = candidate
         step_prev = step
-        if math.isnan(x_next):
-            x_next = lo + 0.5 * width
         step = x_next - x
         x = x_next
 

@@ -248,8 +248,12 @@ def test_bad_float_option_exit_one(capsys, canon_path, argv):
         ("gibbs", "--beta=1e308"),
         ("gibbs", "--beta=-1e308"),
         ("dimension", "--grid=-1e308:-1e308:1"),
+        ("gibbs", "--beta=inf"),
+        ("gibbs", "--beta=nan"),
+        ("gibbs", "--temp=0"),
     ],
-    ids=["gibbs-6e307", "gibbs-minus-6e307", "gibbs-1e308", "gibbs-minus-1e308", "dimension"],
+    ids=["gibbs-6e307", "gibbs-minus-6e307", "gibbs-1e308", "gibbs-minus-1e308", "dimension",
+         "gibbs-inf", "gibbs-nan", "gibbs-temp-0"],
 )
 def test_beta_past_the_float_range_exit_one(capsys, tmp_path, argv):
     # lengths {2, 3}: beta * l_max overflows once |beta| passes about 5.99e307

@@ -68,6 +68,26 @@ def _cases() -> dict[str, list[str]]:
             "-N", str(n1), "--N2", str(n2), "-L", str(total), "--brute",
         ]
     cases["gen-g16"] = ["gen", "--leaves", "16", "--seed", "7"]
+    for code in ("canon", "g16"):
+        c = ["--code", f"@{code}"]
+        for beta in ("1", "0", "-1", "700"):
+            cases[f"gibbs-{code}-beta-{beta}"] = ["gibbs", *c, f"--beta={beta}"]
+        cases[f"gibbs-{code}-temp-2"] = ["gibbs", *c, "--temp", "2"]
+    cases["solve-temp-g16-lambda"] = ["solve-temp", "--code", "@g16", "--lambda", "4.5"]
+    cases["solve-temp-canon-L-N"] = ["solve-temp", "--code", "@canon", "-L", "17", "-N", "12"]
+    cases["solve-temp-canon-infeasible"] = ["solve-temp", "--code", "@canon", "--lambda", "2.5"]
+    cases["solve-temp-deg"] = ["solve-temp", "--code", "@deg", "--lambda", "2"]
+    for first, n1, second, n2, total in (
+        ("canon", 12, "g16", 6, 39),
+        ("step2", 8, "canon", 12, 33),
+        ("deg", 4, "deg", 3, 14),
+    ):
+        cases[f"equilibrium-{first}-{second}"] = [
+            "equilibrium", "--code", f"@{first}", "--code2", f"@{second}",
+            "-N", str(n1), "--N2", str(n2), "-L", str(total),
+        ]
+    for code in ("canon", "g16", "deg", "step2"):
+        cases[f"check-{code}"] = ["check", "--code", f"@{code}"]
     return cases
 
 

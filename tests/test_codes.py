@@ -24,6 +24,7 @@ from thermocode import (
     kraft_sum,
     parse_code,
     random_complete_code,
+    sample_messages,
     shannon_entropy,
 )
 from thermocode.codes import _kraft_ceiling
@@ -413,6 +414,19 @@ def test_entropy_and_average_length_of_float_pmf():
 def test_average_length_alphabet_mismatch():
     with pytest.raises(UnknownSymbolError):
         average_codeword_length(Code(CANON), Pmf({"a": "0.5", "b": "0.5"}))
+
+
+def test_alphabet_mismatch_is_one_error_everywhere():
+    # average length, optimality and the sampler share one check and message
+    code, short = Code(CANON), Pmf({"a": "0.5", "b": "0.5"})
+    calls = (
+        lambda: average_codeword_length(code, short),
+        lambda: is_absolutely_optimal(code, short),
+        lambda: sample_messages(code, short, 2, 10, seed=1),
+    )
+    for call in calls:
+        with pytest.raises(UnknownSymbolError, match=r"pmf alphabet does not match the code \(code \['a', 'b', 'c'\], pmf \['a', 'b'\]\)"):
+            call()
 
 
 def test_absolute_optimality():

@@ -134,6 +134,16 @@ def test_state_misc():
         state.pmf_for(Code({"a": "0", "b": "1"}))
 
 
+def test_pmf_refuses_an_underflowed_probability():
+    # at beta 1100 a 2-bit word has probability about 2**-1100, below the
+    # smallest float, so no positive pmf exists to hand out
+    state = gibbs_state(CANON_SP, 1100.0)
+    assert state.length_prob[2] == 0.0
+    with pytest.raises(ValueError, match=r"at beta 1100\.0 .* length-2 codeword underflows"):
+        state.pmf_for(CANON)
+    assert gibbs_state(CANON_SP, 1000.0).pmf_for(CANON)["a"] == 1.0
+
+
 def test_extreme_beta_stable():
     # the log-domain shift keeps very steep weights finite
     for beta in (700.0, -700.0):
@@ -155,9 +165,10 @@ def test_partition_sum_overflows_to_inf():
 
 
 def test_beta_range_is_bounded_by_l_max():
-    # lengths {2, 3}: beta * 3 overflows past about 5.99e307
+    # lengths {2, 3}: beta * 3 overflows past about 5.99e307; +-inf and nan
+    # fail the same one check
     sp = LengthSpectrum({2: 1, 3: 1})
-    for beta in (6e307, -6e307, 1e308, -1e308):
+    for beta in (6e307, -6e307, 1e308, -1e308, math.inf, -math.inf, math.nan):
         for call in (gibbs_state, mean_length):
             with pytest.raises(ValueError, match=r"\|beta\| must stay below about 5\.99231e\+307"):
                 call(sp, beta)

@@ -328,6 +328,17 @@ def test_entropy_values():
         entropy_at(count_messages(GAPPY.spectrum(), 2), 5)
 
 
+def test_entropy_at_whole_number_float_length():
+    # a float length that names an achievable length reads that cell, as
+    # temperature_at does; a fractional one is refused on both table kinds
+    for build in (count_messages, count_messages_log):
+        table = build(CANON_SP, 3)
+        assert entropy_at(table, 5.0) == entropy_at(table, 5) == math.log2(12)
+        assert temperature_at(table, 5.0) == temperature_at(table, 5)
+        with pytest.raises(UnachievableLengthError):
+            entropy_at(table, 5.5)
+
+
 def test_temperature_central_differences():
     # N=2 table (1, 4, 4): at L=3 the slope is (2-0)/2 = 1, so T = 1
     t = temperature_at(count_messages(CANON_SP, 2), 3)

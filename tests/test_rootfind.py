@@ -15,13 +15,11 @@ def test_linear_with_derivative():
         assert x == pytest.approx((3.0 - target) / 2.0, abs=1e-12)
 
 
-def test_exponential_with_and_without_derivative():
+def test_exponential_with_derivative():
     f = lambda x: math.exp(-x)
-    with_df = solve_decreasing(f, 1e-6, df=lambda x: -math.exp(-x))
-    without = solve_decreasing(f, 1e-6)
-    assert with_df == pytest.approx(math.log(10**6), rel=1e-12)
-    assert without == pytest.approx(with_df, rel=1e-12)
-    assert abs(f(with_df) - 1e-6) <= 1e-12
+    x = solve_decreasing(f, 1e-6, df=lambda x: -math.exp(-x))
+    assert x == pytest.approx(math.log(10**6), rel=1e-12)
+    assert abs(f(x) - 1e-6) <= 1e-12
 
 
 def test_residuals_meet_tolerance_across_targets():
@@ -35,7 +33,7 @@ def test_residuals_meet_tolerance_across_targets():
 def test_unreachable_target_raises():
     # -tanh is bounded by 1, so 1.5 can never be bracketed
     with pytest.raises(ValueError, match="bracket"):
-        solve_decreasing(lambda x: -math.tanh(x), 1.5)
+        solve_decreasing(lambda x: -math.tanh(x), 1.5, df=lambda x: -1.0 / math.cosh(x) ** 2)
 
 
 def test_nan_inside_bracket_raises():
@@ -43,15 +41,12 @@ def test_nan_inside_bracket_raises():
         return 1.0 - x if abs(x) >= 0.9 else math.nan
 
     with pytest.raises(ValueError, match="nan"):
-        solve_decreasing(f, 0.0)
+        solve_decreasing(f, 0.0, df=lambda x: -1.0)
 
 
 def test_jump_past_target_reports_no_convergence():
-    # a step function never gets its residual below tolerance
+    # a step function never gets its residual below tolerance; its zero
+    # derivative leaves every step to bisection
     with pytest.raises(ValueError, match="no convergence"):
-        solve_decreasing(lambda x: 1.0 if x < 0 else -1.0, 0.5)
+        solve_decreasing(lambda x: 1.0 if x < 0 else -1.0, 0.5, df=lambda x: 0.0)
 
-
-def test_bad_bracket_rejected():
-    with pytest.raises(ValueError, match="lo < hi"):
-        solve_decreasing(lambda x: -x, 0.0, lo=2.0, hi=-2.0)

@@ -277,7 +277,16 @@ def _parse_grid(text: str) -> list[float]:
         raise CodeError(f"bad --grid {text!r}: need finite LO <= HI and COUNT >= 1")
     if count > MAX_GRID_POINTS:
         raise CapacityError(f"--grid COUNT {count} exceeds the cap {MAX_GRID_POINTS}")
-    betas = set(np.linspace(lo, hi, count).tolist())
+    # the points of np.linspace(lo, hi, count), by the same IEEE operations in
+    # the same order, so bit for bit the same floats
+    div, delta = count - 1, hi - lo
+    if not div:
+        betas = {0.0 * delta + lo}
+    elif delta / div == 0.0:  # numpy's branch for a step that underflows
+        betas = {i / div * delta + lo for i in range(div)} | {hi}
+    else:
+        step = delta / div
+        betas = {i * step + lo for i in range(div)} | {hi}
     if lo <= 1.0 <= hi:
         betas.add(1.0)  # the dyadic point is always sampled exactly
     return sorted(betas)

@@ -10,6 +10,11 @@ Everything is evaluated through log2-domain sums with the dominant term
 factored out, so betas far beyond the overflow range of 2.0**x are fine:
 any beta with beta * l_max finite, that is |beta| below about
 1.8e308 / l_max.  Larger betas, +-inf and nan are refused with ValueError.
+The sums over the distinct lengths are correctly rounded math.fsum sums,
+and the variance is taken about the mean, so it is never negative.  The
+mean and the variance are within a relative 2 and 4 ulp(M) of the exact
+values, M the largest log2 count or |beta * l| (see _stats).  The module
+needs only the standard library, so canonical commands never load numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf
 from .errors import DegenerateSpectrumError, InfeasibleError
 from .rootfind import solve_decreasing
@@ -52,21 +56,26 @@ def temperature_from_beta(beta: float) -> float:
 
 
 def _stats(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, float]:
-    """(log2 Z, mean length, length variance) at inverse temperature beta."""
+    """(log2 Z, mean length, length variance) at inverse temperature beta.
+
+    Let M be the largest of 1, log2 d_l and |beta * l| over the lengths l
+    with d_l codewords: each log weight is rounded at that scale.  Checked
+    against exact rational sums at integer beta in [-4, 4], log2 Z is within
+    4 ulp(M) of the truth, the mean within a relative 2 ulp(M) and the
+    variance within a relative 4 ulp(M), where ulp(M) is 2**floor(log2 M)
+    times ulp(1).
+    """
     if not math.isfinite(beta * spectrum.l_max):
         limit = sys.float_info.max / spectrum.l_max
         raise ValueError(f"beta {beta!r} is out of range: |beta| must stay below about {limit:.6g}")
-    lengths = np.array(spectrum.lengths, dtype=np.float64)
-    counts = np.array([spectrum.count(l) for l in spectrum.lengths], dtype=np.float64)
-    log2w = np.log2(counts) - beta * lengths
-    shift = float(log2w.max())
-    w = np.exp2(log2w - shift)
-    total = float(w.sum())
-    log2_z = shift + math.log2(total)
-    p = w / total
-    mean = float(np.dot(lengths, p))
-    var = float(np.dot(lengths * lengths, p)) - mean * mean
-    return log2_z, mean, max(var, 0.0)
+    lengths = spectrum.lengths
+    log2w = [math.log2(spectrum.count(l)) - beta * l for l in lengths]
+    shift = max(log2w)
+    w = [2.0 ** (x - shift) for x in log2w]
+    total = math.fsum(w)
+    mean = math.fsum(l * wl for l, wl in zip(lengths, w)) / total
+    var = math.fsum((l - mean) ** 2 * wl for l, wl in zip(lengths, w)) / total
+    return shift + math.log2(total), mean, var
 
 
 def _mean_total(parts: list[tuple[LengthSpectrum, int]]):

@@ -5,9 +5,10 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from thermocode.cli import build_parser, main
+from thermocode.cli import _parse_grid, build_parser, main
 
 CANON_DOC = json.dumps(
     {
@@ -428,8 +429,37 @@ def test_dimension_grid_always_contains_unit_beta(capsys, canon_path):
     assert len(betas) == 5  # four grid points plus the inserted beta=1
 
 
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [
+        (-5.0, 5.0, 201),  # the default grid
+        (-5.0, 5.0, 20001),
+        (-2.0, 2.0, 5),
+        (0.1, 0.7, 3),
+        (0.3, 0.3, 1),
+        (-2.0, 7.0, 1),
+        (-0.0, 3.0, 1),
+        (1.5, 1.5, 7),
+        (-0.0, -0.0, 4),
+        (-9.0, -1e-3, 17),
+        (-7.25, -3.5, 1000),
+        (-1.0, -0.0, 9),
+        (-1e300, 1e300, 11),
+        (1e-300, 1e-299, 33),
+        (5e-324, 2e-323, 7),  # the step underflows to 0
+        (-1e-323, 1e-323, 1000),
+    ],
+)
+def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
+    want = set(np.linspace(lo, hi, count).tolist())
+    if lo <= 1.0 <= hi:
+        want.add(1.0)
+    got = _parse_grid(f"{lo!r}:{hi!r}:{count}")
+    assert [x.hex() for x in got] == [x.hex() for x in sorted(want)]
+
+
 def test_dimension_grid_over_cap_exit_three(capsys, canon_path):
-    # refused before numpy builds the hundred-million-point grid
+    # refused before the hundred-million-point grid is built
     rc, out, err = run(capsys, "dimension", "--code", canon_path, "--grid=0:1:100000000")
     assert rc == 3
     assert out == ""

@@ -55,11 +55,31 @@ def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):
     assert got["loaded"] == []
 
 
-def _gibbs_probe(tmp_path) -> str:
+def test_canonical_commands_never_load_numpy(tmp_path):
+    # gibbs, solve-temp, continuous equilibrium and dimension run on the
+    # standard library alone
+    doc = str(tmp_path / "g16.json")
+    c = ["--code", doc]
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["gibbs", *c, "--beta", "1"],
+        ["gibbs", *c, "--temp", "2"],
+        ["solve-temp", *c, "--lambda", "4.5"],
+        ["solve-temp", *c, "-L", "40", "-N", "10"],
+        ["equilibrium", *c, "--code2", doc, "-N", "10", "--N2", "10", "-L", "90"],
+        ["dimension", *c],
+        ["dimension", *c, "--grid=-2:2:5"],
+    ]
+    got = probe(_run_cli(argvs))
+    assert got["rcs"] == [0] * len(argvs)
+    assert got["loaded"] == []
+
+
+def _numpy_probe(tmp_path) -> str:
     doc = str(tmp_path / "g16.json")
     argvs = [
         ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
-        ["gibbs", "--code", doc, "--beta", "1"],
+        ["omega", "--code", doc, "-N", "3"],
     ]
     return _run_cli(
         argvs,
@@ -69,29 +89,32 @@ def _gibbs_probe(tmp_path) -> str:
 
 
 def test_numeric_command_runs_one_blas_thread(tmp_path):
-    got = probe(_gibbs_probe(tmp_path))
+    got = probe(_numpy_probe(tmp_path))
     assert got["rcs"] == [0, 0]
-    assert got["loaded"]  # gibbs did load numpy
+    assert got["loaded"]  # omega did load numpy
     assert got["blas"] == "1"
     if sys.platform.startswith("linux"):
         assert got["threads"] == 1
 
 
 def test_caller_blas_thread_count_is_kept(tmp_path):
-    got = probe(_gibbs_probe(tmp_path), OPENBLAS_NUM_THREADS="2")
+    got = probe(_numpy_probe(tmp_path), OPENBLAS_NUM_THREADS="2")
     assert got["rcs"] == [0, 0]
     assert got["loaded"]
     assert got["blas"] == "2"
 
 
-def test_numpy_imported_first_is_the_module_thermocode_uses():
+def test_numpy_imported_first_is_the_module_thermocode_uses(tmp_path):
+    doc = str(tmp_path / "g16.json")
+    argvs = [["gen", "--leaves", "16", "--seed", "1", "--out", doc], ["omega", "--code", doc, "-N", "3"]]
     got = probe(
         "import json, numpy\n"
         "import thermocode\n"
-        "from thermocode import cli, dimension, gibbs, microcanonical\n"
+        "from thermocode import cli, dimension, microcanonical\n"
+        f"assert [cli.main(argv) for argv in {argvs!r}] == [0, 0]\n"
         "names = {}\n"
         "exec('from thermocode import *', names)\n"
-        "same = all(m.np is numpy for m in (cli, dimension, gibbs, microcanonical))\n"
+        "same = all(m.np is numpy for m in (cli, dimension, microcanonical))\n"
         "print(json.dumps({'same': same, 'real': hasattr(numpy, 'ndarray'),\n"
         "                  'names': sorted(set(names) - {'__builtins__'})}))\n"
     )
@@ -107,8 +130,8 @@ def test_numpy_works_whichever_is_imported_first(first):
     second = "numpy" if first == "thermocode" else "thermocode"
     got = probe(
         f"import json, {first}, {second}, numpy\n"
-        "from thermocode import LengthSpectrum, gibbs_state\n"
-        "z = gibbs_state(LengthSpectrum({1: 1, 2: 2}), 1.0).z\n"
-        "print(json.dumps({'z': z, 'sum': int(numpy.arange(5).sum())}))\n"
+        "from thermocode import LengthSpectrum, count_messages_log\n"
+        "s = count_messages_log(LengthSpectrum({1: 1, 2: 2}), 2).log2_count(3)\n"
+        "print(json.dumps({'s': s, 'sum': int(numpy.arange(5).sum())}))\n"
     )
-    assert got == {"z": 1.0, "sum": 10}
+    assert got == {"s": 2.0, "sum": 10}

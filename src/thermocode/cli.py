@@ -157,12 +157,24 @@ def _count_table(args):
     return build(code.spectrum(), args.n_symbols)
 
 
-def _windowed(support: list[int], values: list, window: float, total) -> list:
-    """total() of the values over [L, L+window] at each support point."""
-    return [
-        total(values[i : bisect.bisect_right(support, L + window)])
-        for i, L in enumerate(support)
-    ]
+def _windowed(support: list[int], values: list, window: float, exact: bool) -> list:
+    """The values aggregated over [L, L+window] at each support point.
+
+    Exact counts keep one running sum, each cell added as it enters the
+    window and subtracted as it leaves, so the big-integer work is linear in
+    the support.  log2 counts take logaddexp2 over each window afresh: a
+    log-domain difference of sums would cancel.
+    """
+    ends = [bisect.bisect_right(support, L + window) for L in support]
+    if not exact:
+        return [np.logaddexp2.reduce(values[i:end]) for i, end in enumerate(ends)]
+    sums, total, start = [], 0, 0
+    for i, end in enumerate(ends):
+        total += sum(values[start:end])
+        start = end
+        sums.append(total)
+        total -= values[i]
+    return sums
 
 
 def _cmd_omega(args):
@@ -173,7 +185,7 @@ def _cmd_omega(args):
     support = table.support.tolist()
     values = [table.count(L) if exact else table.log2_count(L) for L in support]
     if args.window:
-        values = _windowed(support, values, args.window, sum if exact else np.logaddexp2.reduce)
+        values = _windowed(support, values, args.window, exact)
     entropies = [math.log2(c) for c in values] if exact else values
     temperatures = _temperatures(table.support, np.array(entropies))
     rows = (

@@ -8,7 +8,9 @@ infinite messages has a box-counting dimension that depends on temperature:
 with the canonical quantities from the gibbs module.  beta = 1 gives
 dimension exactly 1 for complete codes (the Kraft identity), beta = 0 gives
 the dimension of the unconstrained message set, and the beta -> +-inf
-limits are set by the shortest and longest codewords alone.
+limits are set by the shortest and longest codewords alone.  At T = 1 the
+first two derivatives of dim(T) are closed forms in the length cumulants:
+a complete code has slope 0 and negative curvature there.
 
 The empirical side counts, exactly, the distinct n-bit prefixes of all
 messages of fixed symbol count and fixed total coded length; the slope of
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
-from .gibbs import _stats, temperature_from_beta
+from .gibbs import _LN2, _stats, gibbs_state, temperature_from_beta
 
 __all__ = [
     "DimensionLimits",
@@ -91,25 +93,20 @@ def limit_dimensions(spectrum: LengthSpectrum) -> DimensionLimits:
     )
 
 
-def unit_temperature_derivatives(
-    spectrum: LengthSpectrum, h: float = 1e-4
-) -> tuple[float, float]:
-    """Central-difference first and second derivatives of dim(T) at T = 1.
+def unit_temperature_derivatives(spectrum: LengthSpectrum) -> tuple[float, float]:
+    """dim'(T) and dim''(T) at T = 1, closed forms in the length cumulants.
 
-    For a complete non-degenerate code the dimension curve peaks at T = 1:
-    first derivative 0, second strictly negative.  h must lie in
-    [1e-6, 1e-2] to keep truncation and cancellation both small.
+    d log2 Z/dbeta = -lambda and d lambda/dbeta = -ln2 var make the slope in
+    beta g = ln2 var log2 Z / lambda**2, so dim'(1) = -g and dim''(1) = 2g + g',
+    where g' brings in k3, the third central moment.  For a complete code
+    log2 Z = 0: dim'(1) = 0 and dim''(1) = -ln2 var / lambda < 0.
     """
-    if not 1e-6 <= h <= 1e-2:
-        raise ValueError("step h must lie in [1e-6, 1e-2]")
-
-    def f(temperature: float) -> float:
-        return box_dimension(spectrum, 1.0 / temperature)
-
-    up, mid, down = f(1.0 + h), f(1.0), f(1.0 - h)
-    first = (up - down) / (2.0 * h)
-    second = (up - 2.0 * mid + down) / (h * h)
-    return first, second
+    s = gibbs_state(spectrum, 1.0)
+    lam, var, z = s.mean_length, s.variance, s.log2_z
+    k3 = math.fsum(d * s.length_prob[l] * (l - lam) ** 3 for l, d in spectrum.degeneracy.items())
+    g = _LN2 * var * z / lam**2
+    dg = _LN2 * (-_LN2 * k3 * z / lam**2 - var / lam + 2 * _LN2 * var**2 * z / lam**3)
+    return 0.0 - g, 2 * g + dg  # 0.0 - g is 0, never -0, when log2 Z is 0
 
 
 @dataclass(frozen=True)

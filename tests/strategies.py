@@ -1,0 +1,46 @@
+"""Shared hypothesis strategies and exact oracles for the property tests.
+
+kraft_spectra draws realizable length spectra; exact_stats gives the
+canonical cumulants of one as exact rationals, with log2 Z to about 60
+digits, for the float paths to be checked against.
+"""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from thermocode import LengthSpectrum
+
+
+@st.composite
+def kraft_spectra(draw):
+    """Realizable spectra of one to eight lengths on a lattice of step 1 to
+    3, complete or not; each count is the most the Kraft budget leaves (one
+    codeword kept for every longer length) or a random smaller one."""
+    step = draw(st.integers(1, 3))
+    lengths = [draw(st.integers(1, 6))]
+    for gap in draw(st.lists(st.integers(1, 4), max_size=7)):
+        lengths.append(lengths[-1] + step * gap)
+    free = 1 << lengths[-1]  # the Kraft budget, in units of 2**-l_max
+    counts = {}
+    for i, l in enumerate(lengths):
+        unit = 1 << (lengths[-1] - l)
+        most = (free - sum(1 << (lengths[-1] - m) for m in lengths[i + 1 :])) // unit
+        counts[l] = draw(st.just(most) | st.integers(1, min(most, 1 << 20)))
+        free -= counts[l] * unit
+    return LengthSpectrum(counts)
+
+
+def exact_stats(spectrum, beta: int) -> tuple[Decimal, Fraction, Fraction, Fraction]:
+    """log2 Z to about 60 digits, and the exact mean and second and third
+    central moments of the length, at integer beta."""
+    w = {l: spectrum.count(l) * Fraction(2) ** (-beta * l) for l in spectrum.lengths}
+    z = sum(w.values())
+    mean = sum(l * wl for l, wl in w.items()) / z
+    var = sum((l - mean) ** 2 * wl for l, wl in w.items()) / z
+    k3 = sum((l - mean) ** 3 * wl for l, wl in w.items()) / z
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log2_z = (Decimal(z.numerator).ln() - Decimal(z.denominator).ln()) / Decimal(2).ln()
+    return log2_z, mean, var, k3

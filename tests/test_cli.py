@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from thermocode.cli import _parse_grid, build_parser, main
+from thermocode import Code, count_messages, dump_code, random_complete_code
+from thermocode.cli import _fmt, _parse_grid, build_parser, main
 
 CANON_DOC = json.dumps(
     {
@@ -128,6 +129,27 @@ def test_omega_infinite_window_sums_tails(capsys, canon_path):
     assert rc == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert {int(r[0]): int(r[1]) for r in rows} == {3: 27, 4: 26, 5: 20, 6: 8}
+
+
+@pytest.mark.parametrize("words, n", [
+    (["0", "10", "11"], 12),  # canon
+    (None, 6),  # g16: gen --leaves 16 --seed 7
+    (["0", "111"], 8),  # step2: lattice step 2
+])
+@pytest.mark.parametrize("window", ["0.5", "3", "inf"])
+def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, window):
+    code = random_complete_code(16, 7) if words is None else Code({f"s{i}": w for i, w in enumerate(words)})
+    path = tmp_path / "code.json"
+    path.write_text(dump_code(code))
+    rc, out, _ = run(capsys, "omega", "--code", str(path), "-N", str(n), "--window", window)
+    assert rc == 0
+    counts = count_messages(code.spectrum(), n).to_dict()
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(counts)
+    for L, omega, log2_omega, entropy, _ in rows:
+        want = sum(c for M, c in counts.items() if int(L) <= M <= int(L) + float(window))
+        assert int(omega) == want
+        assert log2_omega == entropy == _fmt(math.log2(want))
 
 
 def test_omega_capacity_exit_three(capsys, canon_path):

@@ -1,10 +1,12 @@
 """Tests for box dimensions, their limits, and empirical prefix counting."""
 
 import math
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from thermocode import (
     CapacityError,
@@ -25,6 +27,7 @@ from thermocode import (
     unit_temperature_derivatives,
 )
 from thermocode import dimension
+from strategies import exact_stats, kraft_spectra
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -89,8 +92,49 @@ def test_unit_temperature_derivatives():
     # a one-length spectrum has constant dimension 1: both derivatives vanish
     first, second = unit_temperature_derivatives(LengthSpectrum({3: 8}))
     assert abs(first) <= 1e-9 and abs(second) <= 1e-6
-    with pytest.raises(ValueError):
-        unit_temperature_derivatives(CANON_SP, h=0.5)
+
+
+def _stencil(spectrum, h: float) -> tuple[float, float]:
+    """Central differences of dim(T) at T = 1 with step h."""
+    up, mid, down = (box_dimension(spectrum, 1.0 / t) for t in (1.0 + h, 1.0, 1.0 - h))
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spectrum=kraft_spectra())
+@example(spectrum=CANON_SP)
+@example(spectrum=LengthSpectrum({3: 8}))
+@example(spectrum=LengthSpectrum({3: 2, 9: 3}))  # incomplete, dim'' nearly cancels
+def test_unit_temperature_derivatives_match_exact_cumulants(spectrum):
+    first, second = unit_temperature_derivatives(spectrum)
+    z, lam, var, k3 = exact_stats(spectrum, 1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        lam, var, k3 = (Decimal(q.numerator) / Decimal(q.denominator) for q in (lam, var, k3))
+        g = ln2 * var * z / lam**2
+        dg = ln2 * (-ln2 * k3 * z / lam**2 - var / lam + 2 * ln2 * var**2 * z / lam**3)
+        want_first, want_second = -g, 2 * g + dg
+        # the bound scales with the size of each term.  log2 Z is good only
+        # to an absolute 4 ulp(M), so it counts as at least 1.  k3 is taken
+        # about a rounded mean, so its error scales with
+        # E|l - mean|**3 + mean * var, at most (span + mean) * var.
+        big_z = max(abs(z), 1)
+        big_k3 = (spectrum.l_max - spectrum.l_min + lam) * var
+        scale_first = ln2 * var / lam**2 * big_z
+        scale_second = ln2 * (
+            (2 * var / lam**2 + ln2 * big_k3 / lam**2 + 2 * ln2 * var**2 / lam**3) * big_z + var / lam
+        )
+    # ulp(M), M the largest magnitude that a log weight is built from
+    ulp = Decimal(math.ulp(max(1.0, *(max(math.log2(d), l) for l, d in spectrum.degeneracy.items()))))
+    assert abs(Decimal(first) - want_first) <= 16 * ulp * scale_first
+    assert abs(Decimal(second) - want_second) <= 16 * ulp * scale_second
+    # the oracle shares the formula; a difference stencil checks the
+    # derivation.  Richardson extrapolation over h and 2h cancels the
+    # h**2 truncation error, which a wide spectrum makes large.
+    (d1, d2), (e1, e2) = _stencil(spectrum, 1e-4), _stencil(spectrum, 2e-4)
+    assert abs((4 * d1 - e1) / 3 - first) <= 1e-6
+    assert abs((4 * d2 - e2) / 3 - second) <= 1e-6
 
 
 def test_dimension_curve_rows():

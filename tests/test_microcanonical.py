@@ -9,6 +9,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocode import (
     CapacityError,
@@ -31,6 +33,7 @@ from thermocode import (
 )
 from thermocode import microcanonical
 from thermocode.microcanonical import _temperatures
+from strategies import kraft_spectra
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -143,6 +146,12 @@ def test_recurrence_matches_convolution():
     for sp in spectra:
         for n in (1, 2, 3, rng.randint(4, 20), rng.randint(40, 60)):
             assert count_messages(sp, n).to_dict() == convolution_counts(sp, n), (sp.degeneracy, n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spectrum=kraft_spectra(), n=st.integers(1, 12))
+def test_recurrence_matches_convolution_on_kraft_spectra(spectrum, n):
+    assert count_messages(spectrum, n).to_dict() == convolution_counts(spectrum, n)
 
 
 def test_canon_counts_closed_form_at_ten_thousand():

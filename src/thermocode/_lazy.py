@@ -1,12 +1,16 @@
 """numpy, imported on first use.
 
 Importing numpy costs more CPU than the rest of a `thermocode` process that
-never needs an array: `check`, `gen` and every refusal raised before array
-code.  This module is the `importlib.util.LazyLoader` recipe from the
-`importlib` documentation.  If numpy is already imported, `np` is that
-module.  Otherwise `np` is a module object registered in `sys.modules` whose
-code runs on its first attribute access; after that it is the ordinary numpy
-module, so `import numpy` anywhere later gets the same object.
+never needs an array, and most never do: the count tables, their entropies
+and temperatures and the canonical sums run on the standard library.  Only
+`prefixes`, `sample`, `temperature --mode log` without `-L` (its argmax),
+the `iter_log_tables` sweep and a table's ndarray views (`support`,
+`log2_array()`) touch numpy.  This module is the
+`importlib.util.LazyLoader` recipe from the `importlib` documentation.  If
+numpy is already imported, `np` is that module.  Otherwise `np` is a module
+object registered in `sys.modules` whose code runs on its first attribute
+access; after that it is the ordinary numpy module, so `import numpy`
+anywhere later gets the same object.
 
 Before Python 3.12, `LazyLoader` is not thread-safe on that first attribute
 access: two threads touching `np` at once can both run numpy's import.

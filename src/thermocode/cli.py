@@ -22,12 +22,12 @@ import bisect
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
+from functools import reduce
 from itertools import chain, starmap
 from pathlib import Path
 
-from ._lazy import np
 from .codes import (
     Code,
     Pmf,
@@ -157,17 +157,36 @@ def _count_table(args):
     return build(code.spectrum(), args.n_symbols)
 
 
-def _windowed(support: list[int], values: list, window: float, exact: bool) -> list:
+# numpy's NPY_LOG2E, 1/ln 2 rounded to a double
+_LOG2E = 1.442695040888963407359924681001892137
+
+
+def _logaddexp2(x: float, y: float) -> float:
+    """log2(2**x + 2**y) by the operations of numpy's npy_logaddexp2, so
+    bit for bit np.logaddexp2(x, y).  2.0 ** is libm's pow where numpy
+    calls exp2; Python 3.10 has no math.exp2."""
+    if x == y:
+        return x + 1  # also -inf with -inf, without a nan difference
+    d = x - y
+    if d > 0:
+        return x + _LOG2E * math.log1p(2.0**-d)
+    if d <= 0:
+        return y + _LOG2E * math.log1p(2.0**d)
+    return d  # a nan operand
+
+
+def _windowed(support: Sequence[int], values: list, window: float, exact: bool) -> list:
     """The values aggregated over [L, L+window] at each support point.
 
     Exact counts keep one running sum, each cell added as it enters the
     window and subtracted as it leaves, so the big-integer work is linear in
-    the support.  log2 counts take logaddexp2 over each window afresh: a
+    the support.  log2 counts fold _logaddexp2 over each window afresh, left
+    to right from -inf, as np.logaddexp2.reduce does from its identity: a
     log-domain difference of sums would cancel.
     """
     ends = [bisect.bisect_right(support, L + window) for L in support]
     if not exact:
-        return [np.logaddexp2.reduce(values[i:end]) for i, end in enumerate(ends)]
+        return [reduce(_logaddexp2, values[i:end], -math.inf) for i, end in enumerate(ends)]
     sums, total, start = [], 0, 0
     for i, end in enumerate(ends):
         total += sum(values[start:end])
@@ -182,12 +201,12 @@ def _cmd_omega(args):
         raise CodeError(f"--window must be a non-negative number of bits, got {args.window}")
     table = _count_table(args)
     exact = args.mode == "exact"
-    support = table.support.tolist()
+    support = table._achievable()
     values = [table.count(L) if exact else table.log2_count(L) for L in support]
     if args.window:
         values = _windowed(support, values, args.window, exact)
     entropies = [math.log2(c) for c in values] if exact else values
-    temperatures = _temperatures(table.support, np.array(entropies))
+    temperatures = _temperatures(support, entropies)
     rows = (
         (L, value if exact else "", s, s, t)
         for L, value, s, t in zip(support, values, entropies, temperatures)

@@ -129,11 +129,10 @@ def allocation_table(
     table1 = count_messages(system.spectrum_first, system.n_first)
     table2 = count_messages(system.spectrum_second, system.n_second)
     rows = []
-    for bits1 in table1.support.tolist():
+    for bits1, c1 in table1.items():
         bits2 = total_bits - bits1
         c2 = table2.count(bits2)
         if c2:
-            c1 = table1.count(bits1)
             rows.append((bits1, bits2, c1, c2, c1 * c2))
     return rows
 

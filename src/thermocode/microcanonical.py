@@ -4,10 +4,12 @@ A message of n_symbols symbols encodes to a bit string whose length is the
 sum of the individual codeword lengths.  The number of messages that encode
 to exactly L bits is the coefficient of z**L in (sum_l d_l z**l)**n_symbols,
 where d_l counts codewords of length l.  This module computes that table
-exactly (arbitrary-precision integers), in the log2 domain (numpy floats,
-with only a few big integers alive at a time), and by literal enumeration (the
-oracle the other two are checked against), and derives entropy and discrete
-temperature from it.
+exactly (arbitrary-precision integers), in the log2 domain (float64 in an
+array('d'), with only a few big integers alive at a time), and by literal
+enumeration (the oracle the other two are checked against), and derives
+entropy and discrete temperature from it.  Counting, entropy and temperature
+run on the standard library; numpy serves the iter_log_tables sweep, the
+float most probable length, the sampler and the ndarray views of a table.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
 entropy (dimensionless).
@@ -16,11 +18,12 @@ entropy (dimensionless).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
@@ -58,34 +61,47 @@ MAX_BRUTE_MESSAGES = 10_000_000
 _SAMPLE_CHUNK_CELLS = 1_000_000
 
 
-def _log2_counts(counts: Iterable[int], n_cells: int) -> np.ndarray:
-    """math.log2 of each of n_cells exact counts as float64, -inf for 0."""
-    return np.fromiter(
-        (math.log2(c) if c else -math.inf for c in counts), dtype=np.float64, count=n_cells
-    )
+def _log2_counts(counts: Iterable[int]) -> array:
+    """math.log2 of each exact count as float64, -inf for 0."""
+    return array("d", (math.log2(c) if c else -math.inf for c in counts))
 
 
 class LogEnsembleTable:
-    """log2 of the message counts, as a dense float array over the lattice.
+    """log2 of the message counts, as a dense float64 array over the lattice.
 
     Unachievable lengths hold -inf.  count_messages_log fills it with
     math.log2 of each exact count, so its values equal EnsembleTable's bit
     for bit; iter_log_tables' tables agree to float rounding.  An
     EnsembleTable is this table plus its integers.
+
+    The counts live in an array('d') and the support, built on first use,
+    in an array('q'); support and log2_array() are ndarray views of them,
+    sharing their memory.
     """
 
     __slots__ = ("n_symbols", "_offset", "_log2", "_support")
 
-    def __init__(self, n_symbols: int, offset: int, log2_counts: np.ndarray):
+    def __init__(self, n_symbols: int, offset: int, log2_counts: Iterable[float]):
         self.n_symbols = n_symbols
         self._offset = offset
+        if getattr(log2_counts, "typecode", None) != "d":
+            log2_counts = array("d", log2_counts)
         self._log2 = log2_counts
-        self._support = offset + np.flatnonzero(np.isfinite(log2_counts)).astype(np.int64)
+        self._support: array | None = None
+
+    def _achievable(self) -> array:
+        """Achievable total lengths, ascending, as an array('q')."""
+        if self._support is None:
+            offset = self._offset
+            self._support = array(
+                "q", [offset + i for i, v in enumerate(self._log2) if math.isfinite(v)]
+            )
+        return self._support
 
     @property
     def support(self) -> np.ndarray:
         """Achievable total lengths, ascending."""
-        return self._support
+        return np.frombuffer(self._achievable(), dtype=np.int64)
 
     def count(self, total_bits: int) -> float:
         """2**log2_count(total_bits); inf once that passes the float range."""
@@ -97,16 +113,12 @@ class LogEnsembleTable:
     def log2_count(self, total_bits: int) -> float:
         i = total_bits - self._offset
         if 0 <= i < len(self._log2):
-            return float(self._log2[i])
+            return self._log2[i]
         return -math.inf
-
-    def _entropies(self) -> np.ndarray:
-        """log2 of the count at each support point."""
-        return self._log2[self._support - self._offset]
 
     def log2_array(self) -> np.ndarray:
         """The raw log2-count array; index i is total length offset + i."""
-        return self._log2
+        return np.frombuffer(self._log2, dtype=np.float64)
 
     @property
     def offset(self) -> int:
@@ -125,7 +137,7 @@ class EnsembleTable(LogEnsembleTable):
     __slots__ = ("_coeffs",)
 
     def __init__(self, n_symbols: int, offset: int, coeffs: list[int]):
-        super().__init__(n_symbols, offset, _log2_counts(coeffs, len(coeffs)))
+        super().__init__(n_symbols, offset, _log2_counts(coeffs))
         self._coeffs = coeffs
 
     def count(self, total_bits: int) -> int:
@@ -137,7 +149,7 @@ class EnsembleTable(LogEnsembleTable):
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(total_bits, count) pairs over the support, ascending."""
-        return ((L, self._coeffs[L - self._offset]) for L in self._support.tolist())
+        return ((L, self._coeffs[L - self._offset]) for L in self._achievable())
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.items())
@@ -245,8 +257,7 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    n_cells = n_symbols * (spectrum.l_max - spectrum.l_min) + 1
-    log2_counts = _log2_counts(_miller(spectrum, n_symbols), n_cells)
+    log2_counts = _log2_counts(_miller(spectrum, n_symbols))
     return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
 
 
@@ -268,51 +279,67 @@ def iter_log_tables(
     base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
     lw = np.zeros(1)  # n = 0: only the empty message, at length 0
     for n in range(1, n_max + 1):
-        new = np.full(len(lw) + span, -np.inf)
+        cells = array("d", [-math.inf]) * (len(lw) + span)
+        new = np.frombuffer(cells, dtype=np.float64)  # a view: the table's own array
         for off, ld in base:
             seg = new[off : off + len(lw)]
             np.logaddexp2(seg, lw + ld, out=seg)
         lw = new
-        yield LogEnsembleTable(n, n * l_min, lw)
+        yield LogEnsembleTable(n, n * l_min, cells)
 
 
-def _support_position(table: LogEnsembleTable, total_bits: int) -> int:
-    """Index of total_bits in table.support; refuses an unachievable length."""
-    support = table.support
-    pos = int(np.searchsorted(support, total_bits))
-    if pos >= len(support) or support[pos] != total_bits:
-        raise UnachievableLengthError(
-            f"no message encodes to {total_bits} bits "
-            f"(achievable range {int(support[0])}..{int(support[-1])})"
-        )
-    return pos
+def _cell(table: LogEnsembleTable, total_bits: int) -> int:
+    """Index of total_bits in the table's log2 array; refuses an
+    unachievable length.  A whole-number float names its integer."""
+    log2 = table._log2
+    i = total_bits - table.offset
+    if 0 <= i < len(log2) and i == int(i) and math.isfinite(log2[int(i)]):
+        return int(i)
+    support = table._achievable()
+    raise UnachievableLengthError(
+        f"no message encodes to {total_bits} bits "
+        f"(achievable range {support[0]}..{support[-1]})"
+    )
+
+
+def _nearest(log2: array, i: int, step: int) -> int:
+    """Index of the nearest achievable cell past i in the direction of step
+    (-1 or 1); i itself when there is none."""
+    j = i + step
+    while 0 <= j < len(log2):
+        if math.isfinite(log2[j]):
+            return j
+        j += step
+    return i
 
 
 def entropy_at(table: LogEnsembleTable, total_bits: int) -> float:
     """Microcanonical entropy log2(count) in bits at one total length."""
-    pos = _support_position(table, total_bits)
-    return table.log2_count(int(table.support[pos]))
+    return table._log2[_cell(table, total_bits)]
 
 
-def _temperatures(lengths: np.ndarray, entropies: np.ndarray) -> np.ndarray:
+def _temperatures(lengths: Sequence[int], entropies: Sequence[float]) -> list[float]:
     """Discrete temperature dL/dS at every point of an ascending (L, S) series.
 
     Central differences over the neighbouring points, one-sided at the two
     ends.  A zero entropy difference yields a signed infinity: positive at
     or below the entropy peak (its first maximum), negative above it.  A
-    single point has no temperature and yields nan.
+    single point has no temperature and yields nan.  Plain IEEE floats:
+    an infinite or nan difference divides as it does in C.
     """
-    if len(lengths) < 2:
-        return np.full(len(lengths), np.nan)
-    # Padding each end with a copy of itself makes the end differences one-sided.
-    x = np.concatenate((lengths[:1], lengths, lengths[-1:]))
-    s = np.concatenate((entropies[:1], entropies, entropies[-1:]))
-    with np.errstate(divide="ignore", invalid="ignore"):  # -inf entropies, zero slopes
-        ds = s[2:] - s[:-2]
-        t = (x[2:] - x[:-2]) / ds
-    flat = np.flatnonzero(ds == 0.0)
-    t[flat] = np.where(flat <= np.argmax(entropies), np.inf, -np.inf)
-    return t
+    n = len(lengths)
+    if n < 2:
+        return [math.nan] * n
+    peak = max(range(n), key=entropies.__getitem__)  # the first maximum
+    out = []
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)  # one-sided at the ends
+        ds = entropies[hi] - entropies[lo]
+        if ds == 0.0:
+            out.append(math.inf if i <= peak else -math.inf)
+        else:
+            out.append((lengths[hi] - lengths[lo]) / ds)
+    return out
 
 
 def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstimate:
@@ -321,16 +348,25 @@ def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstim
     Uses the central difference over the nearest achievable neighbours;
     at the ends of the support it falls back to a one-sided difference and
     flags the result.  A zero entropy difference yields a signed infinity:
-    positive at or below the entropy peak, negative above it.
+    positive at or below the entropy peak, negative above it.  This is
+    _temperatures over the support at one point, reading only the cell and
+    its two neighbours (and the peak, for a zero difference).
     """
-    support = table.support
-    if len(support) < 2:
+    log2 = table._log2
+    first, last = _nearest(log2, -1, 1), _nearest(log2, len(log2), -1)  # achievable ends
+    if not 0 <= first < last:
         raise UnachievableLengthError(
             "support has a single achievable length; no temperature is defined"
         )
-    pos = _support_position(table, total_bits)
-    value = float(_temperatures(support, table._entropies())[pos])
-    return TemperatureEstimate(value, pos in (0, len(support) - 1))
+    i = _cell(table, total_bits)
+    lo, hi = _nearest(log2, i, -1), _nearest(log2, i, 1)
+    ds = log2[hi] - log2[lo]
+    if ds == 0.0:
+        # the first maximum: unachievable cells hold -inf and never win
+        value = math.inf if i <= log2.index(max(log2)) else -math.inf
+    else:
+        value = (hi - lo) / ds
+    return TemperatureEstimate(value, lo == i or hi == i)
 
 
 def most_probable_length(table: LogEnsembleTable) -> int:
@@ -343,7 +379,7 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     floats (argmax of log2 count - L).
     """
     if isinstance(table, EnsembleTable):
-        last = int(table.support[-1])
+        last = table._achievable()[-1]
         return max(table.items(), key=lambda item: item[1] << (last - item[0]))[0]
     arr = table.log2_array()
     scores = arr - (table.offset + np.arange(len(arr)))

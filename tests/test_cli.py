@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermocode import Code, count_messages, dump_code, random_complete_code
-from thermocode.cli import _fmt, _parse_grid, build_parser, main
+from thermocode.cli import _fmt, _logaddexp2, _parse_grid, _windowed, build_parser, main
 
 CANON_DOC = json.dumps(
     {
@@ -478,6 +480,41 @@ def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
         want.add(1.0)
     got = _parse_grid(f"{lo!r}:{hi!r}:{count}")
     assert [x.hex() for x in got] == [x.hex() for x in sorted(want)]
+
+
+# log2 counts: ties, -inf, signed zeros and gaps past 1100 bits, where
+# 2**-gap underflows to zero; never nan
+_LOG2_FLOATS = st.floats(-1e300, 1e300) | st.floats(-1200.0, 1200.0) | st.sampled_from(
+    [-math.inf, math.inf, 0.0, -0.0, 1.0, 1100.5, -1100.5, 5e-324]
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(x=_LOG2_FLOATS, y=_LOG2_FLOATS)
+@example(x=3.0, y=3.0)
+@example(x=-math.inf, y=-math.inf)
+@example(x=-math.inf, y=2.5)
+@example(x=0.0, y=-0.0)
+@example(x=-0.0, y=-0.0)
+@example(x=0.25, y=1101.0)
+@example(x=1101.0, y=0.25)
+def test_logaddexp2_is_numpys_bit_for_bit(x, y):
+    assert _logaddexp2(x, y).hex() == float(np.logaddexp2(x, y)).hex()
+    assert _logaddexp2(y, x).hex() == float(np.logaddexp2(y, x)).hex()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(values=st.lists(_LOG2_FLOATS, min_size=1, max_size=12), window=st.integers(0, 12))
+@example(values=[2.0, 2.0, 2.0], window=2)
+@example(values=[-math.inf, -math.inf, 7.0, -math.inf], window=3)
+@example(values=[0.0, -0.0, 1500.0, 0.0], window=3)
+@example(values=[-0.0], window=0)  # reduce starts from the identity -inf: 0.0
+def test_windowed_log_sums_are_numpys_reduce_bit_for_bit(values, window):
+    # the log-mode --window fold, left to right as np.logaddexp2.reduce
+    support = list(range(len(values)))
+    got = _windowed(support, values, window, exact=False)
+    want = [np.logaddexp2.reduce(np.array(values[i : i + window + 1])) for i in support]
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_dimension_grid_over_cap_exit_three(capsys, canon_path):

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermocode import (
@@ -247,7 +247,7 @@ def test_log_table_is_log2_of_exact_counts():
             logt = count_messages_log(sp, n)
             assert logt.support.tolist() == exact.support.tolist()
             want = [math.log2(c) for _, c in exact.items()]
-            assert logt._entropies().tolist() == want, (sp.degeneracy, n)
+            assert [entropy_at(logt, L) for L in logt.support.tolist()] == want, (sp.degeneracy, n)
 
 
 def test_exact_table_is_the_log_table_plus_its_integers():
@@ -319,6 +319,7 @@ def test_iter_log_tables_ends_like_direct_build():
 def test_iter_log_tables_yields_independent_arrays():
     tables = list(iter_log_tables(CANON_SP, 3))
     tables[0].log2_array()[0] = 123.0
+    assert tables[0].log2_count(1) == 123.0  # the array is a view of the table's own
     assert tables[1].log2_count(2) != 123.0
 
 
@@ -419,9 +420,70 @@ def test_temperature_series_matches_pointwise_reference():
         lengths = np.cumsum(rng.integers(1, 4, size=n)).astype(np.int64)
         entropies = rng.integers(0, 4, size=n) * rng.choice([1.0, 0.3])
         entropies[rng.random(n) < 0.1] = -math.inf
-        got = _temperatures(lengths, entropies)
+        got = _temperatures(lengths.tolist(), entropies.tolist())
         want = [_pointwise_temperature(lengths.tolist(), entropies.tolist(), i) for i in range(n)]
         assert [repr(float(t)) for t in got] == [repr(t) for t in want]
+
+
+@st.composite
+def count_tables(draw):
+    """Exact or log tables of a kraft_spectra spectrum, or synthetic tables
+    whose small integer counts make gaps (0 or -inf cells, at the ends too),
+    plateaus, zero slopes and a peak at either edge; every table has at
+    least one achievable length."""
+    kind = draw(st.sampled_from(["exact", "log", "synthetic-exact", "synthetic-log"]))
+    if kind == "exact":
+        return count_messages(draw(kraft_spectra()), draw(st.integers(1, 12)))
+    if kind == "log":
+        return count_messages_log(draw(kraft_spectra()), draw(st.integers(1, 12)))
+    offset = draw(st.integers(0, 20))
+    if kind == "synthetic-exact":
+        counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any))
+        return EnsembleTable(2, offset, counts)
+    cells = st.lists(st.sampled_from([-math.inf, 0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=12)
+    return LogEnsembleTable(2, offset, np.array(draw(cells.filter(lambda c: max(c) > -math.inf))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=count_tables())
+@example(table=EnsembleTable(2, 10, [1, 2, 1]))  # symmetric: +inf at the peak
+@example(table=EnsembleTable(2, 10, [2, 1, 2]))  # peak at the left edge
+@example(table=EnsembleTable(2, 10, [1, 2]))  # peak at the right edge
+@example(table=LogEnsembleTable(2, 10, np.array([0.0, 1.0, 0.0])))
+@example(table=LogEnsembleTable(2, 10, np.array([1.0, -math.inf, 1.0, 0.0])))  # plateau over a gap
+@example(table=count_messages(CANON_SP, 2))
+@example(table=count_messages(CANON_SP, 3))
+@example(table=count_messages_log(CANON_SP, 3))
+@example(table=count_messages(GAPPY.spectrum(), 2))
+@example(table=count_messages(LengthSpectrum({1: 1, 2: 1}), 2))
+@example(table=count_messages(LengthSpectrum({2: 4}), 5))  # single-point support
+@example(table=count_messages_log(LengthSpectrum({2: 4}), 5))
+def test_temperature_at_is_the_series_temperature_at_its_point(table):
+    # temperature_at reads only a cell and its achievable neighbours; it
+    # must give the whole-series _temperatures over the support, and
+    # entropy_at the cell's log2, bit for bit, for int and float lengths
+    arr = table.log2_array()
+    cells = np.flatnonzero(np.isfinite(arr)).tolist()
+    support = [table.offset + i for i in cells]
+    entropies = [float(arr[i]) for i in cells]
+    series = _temperatures(support, entropies)
+    for pos, L in enumerate(support):
+        for length in (L, float(L)):
+            assert repr(entropy_at(table, length)) == repr(entropies[pos])
+            if len(support) < 2:
+                with pytest.raises(UnachievableLengthError, match="single"):
+                    temperature_at(table, length)
+                continue
+            est = temperature_at(table, length)
+            assert repr(est.value) == repr(series[pos]), (support, entropies, L)
+            assert est.one_sided == (pos in (0, len(support) - 1))
+    for i in sorted(set(range(-1, len(arr) + 1)) - set(cells)):
+        with pytest.raises(UnachievableLengthError):
+            entropy_at(table, table.offset + i)
+        with pytest.raises(UnachievableLengthError):
+            temperature_at(table, table.offset + i)
+    with pytest.raises(UnachievableLengthError):
+        entropy_at(table, support[0] + 0.5)
 
 
 def test_temperature_from_real_symmetric_table():

@@ -75,11 +75,32 @@ def test_canonical_commands_never_load_numpy(tmp_path):
     assert got["loaded"] == []
 
 
+def test_count_table_commands_never_load_numpy(tmp_path):
+    # exact and log count tables, their entropies and temperatures, the
+    # windowed sums and the brute split run on the standard library alone
+    doc = str(tmp_path / "g16.json")
+    c = ["--code", doc]
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["omega", *c, "-N", "6"],
+        ["omega", *c, "-N", "6", "--mode", "log"],
+        ["omega", *c, "-N", "6", "--window", "3"],
+        ["omega", *c, "-N", "6", "--mode", "log", "--window", "3"],
+        ["temperature", *c, "-N", "20"],
+        ["temperature", *c, "-N", "20", "-L", "90"],
+        ["temperature", *c, "-N", "20", "--mode", "log", "-L", "90"],
+        ["equilibrium", *c, "--code2", doc, "-N", "10", "--N2", "10", "-L", "90", "--brute"],
+    ]
+    got = probe(_run_cli(argvs))
+    assert got["rcs"] == [0] * len(argvs)
+    assert got["loaded"] == []
+
+
 def _numpy_probe(tmp_path) -> str:
     doc = str(tmp_path / "g16.json")
     argvs = [
         ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
-        ["omega", "--code", doc, "-N", "3"],
+        ["sample", "--code", doc, "-N", "3", "--draws", "100", "--seed", "1"],
     ]
     return _run_cli(
         argvs,
@@ -91,7 +112,7 @@ def _numpy_probe(tmp_path) -> str:
 def test_numeric_command_runs_one_blas_thread(tmp_path):
     got = probe(_numpy_probe(tmp_path))
     assert got["rcs"] == [0, 0]
-    assert got["loaded"]  # omega did load numpy
+    assert got["loaded"]  # sample did load numpy
     assert got["blas"] == "1"
     if sys.platform.startswith("linux"):
         assert got["threads"] == 1
@@ -106,7 +127,10 @@ def test_caller_blas_thread_count_is_kept(tmp_path):
 
 def test_numpy_imported_first_is_the_module_thermocode_uses(tmp_path):
     doc = str(tmp_path / "g16.json")
-    argvs = [["gen", "--leaves", "16", "--seed", "1", "--out", doc], ["omega", "--code", doc, "-N", "3"]]
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["sample", "--code", doc, "-N", "3", "--draws", "100", "--seed", "1"],
+    ]
     got = probe(
         "import json, numpy\n"
         "import thermocode\n"
@@ -114,7 +138,7 @@ def test_numpy_imported_first_is_the_module_thermocode_uses(tmp_path):
         f"assert [cli.main(argv) for argv in {argvs!r}] == [0, 0]\n"
         "names = {}\n"
         "exec('from thermocode import *', names)\n"
-        "same = all(m.np is numpy for m in (cli, dimension, microcanonical))\n"
+        "same = all(m.np is numpy for m in (dimension, microcanonical))\n"
         "print(json.dumps({'same': same, 'real': hasattr(numpy, 'ndarray'),\n"
         "                  'names': sorted(set(names) - {'__builtins__'})}))\n"
     )

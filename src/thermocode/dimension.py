@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
 from .gibbs import _LN2, _stats, gibbs_state, temperature_from_beta
@@ -127,11 +126,15 @@ class PrefixCountTable:
         return len(self.counts) - 1
 
     def log2_counts(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([math.log2(c) for c in self.counts])
 
 
 def _achievable_rows(spectrum: LengthSpectrum, n_symbols: int, budget: int) -> np.ndarray:
     """Boolean table: row m, column j true iff m codewords can total j bits."""
+    import numpy as np
+
     reach = np.zeros((n_symbols + 1, budget + 1), dtype=bool)
     reach[0, 0] = True
     for m in range(1, n_symbols + 1):
@@ -199,6 +202,8 @@ def prefix_counts(
     if steps > MAX_PREFIX_STEPS:
         raise CapacityError(f"prefix table needs {steps:.3g} DP steps (cap {MAX_PREFIX_STEPS})")
 
+    import numpy as np
+
     reach = _achievable_rows(spectrum, n_symbols, total_bits)
     if not reach[n_symbols, total_bits]:
         raise UnachievableLengthError(
@@ -250,6 +255,8 @@ def fit_dimension(
         return math.nan
     if not 0 <= n_lo < n_hi <= table.n_max:
         raise ValueError(f"bad fit range [{n_lo}, {n_hi}] for table up to {table.n_max}")
+    import numpy as np
+
     xs = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     ys = table.log2_counts()[n_lo : n_hi + 1]
     return float(np.polyfit(xs, ys, 1)[0])

@@ -8,8 +8,9 @@ exactly (arbitrary-precision integers), in the log2 domain (float64 in an
 array('d'), with only a few big integers alive at a time), and by literal
 enumeration (the oracle the other two are checked against), and derives
 entropy and discrete temperature from it.  Counting, entropy and temperature
-run on the standard library; numpy serves the iter_log_tables sweep, the
-float most probable length, the sampler and the ndarray views of a table.
+run on the standard library.  numpy is imported inside the functions that
+build arrays: the iter_log_tables sweep, the float most probable length, the
+sampler and the ndarray views of a table.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
 entropy (dimensionless).
@@ -25,7 +26,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from ._lazy import np
 from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
 from .errors import CapacityError, UnachievableLengthError
 
@@ -71,7 +71,7 @@ class LogEnsembleTable:
 
     Unachievable lengths hold -inf.  count_messages_log fills it with
     math.log2 of each exact count, so its values equal EnsembleTable's bit
-    for bit; iter_log_tables' tables agree to float rounding.  An
+    for bit; iter_log_tables' tables agree within its stated bound.  An
     EnsembleTable is this table plus its integers.
 
     The counts live in an array('d') and the support, built on first use,
@@ -101,6 +101,8 @@ class LogEnsembleTable:
     @property
     def support(self) -> np.ndarray:
         """Achievable total lengths, ascending."""
+        import numpy as np
+
         return np.frombuffer(self._achievable(), dtype=np.int64)
 
     def count(self, total_bits: int) -> float:
@@ -118,6 +120,8 @@ class LogEnsembleTable:
 
     def log2_array(self) -> np.ndarray:
         """The raw log2-count array; index i is total length offset + i."""
+        import numpy as np
+
         return np.frombuffer(self._log2, dtype=np.float64)
 
     @property
@@ -268,12 +272,28 @@ def iter_log_tables(
 
     Each table is one log-sum-exp convolution of the last, so the sweep costs
     about n_max**2 * span float operations in all, where building each table
-    by count_messages_log would cost O(n_max**3).  Values agree with
-    count_messages_log to float rounding, not bit for bit.  Every yielded
-    array is new and is never written to again, so each table owns its array.
+    by count_messages_log would cost O(n_max**3).  Every yielded array is
+    new and is never written to again, so each table owns its array.
+
+    Values agree with count_messages_log (math.log2 of the exact counts)
+    within 4*n*m*ulp(max(M, 1)), not bit for bit: n the table's n_symbols,
+    m the number of distinct lengths, M the table's largest log2 count.
+    Every log2 count is at least 0, and each table's M bounds every value
+    the sweep has computed so far.  Step n forms m terms, the previous
+    table plus log2(d) rounded (1 ulp) and their sum rounded (1/2 ulp),
+    and merges them by m - 1 logaddexp2 calls.  logaddexp2's two partial
+    derivatives are weights summing to 1, so a merge passes on at most the
+    larger of its inputs' errors and adds its own: 1/2 ulp for its final
+    add, 1/4 ulp for the rounded difference of its inputs (taken through a
+    slope of at most 1/2), and 2.5 ulp(1) for exp2, log1p and the scaling
+    of a correction in [0, 1], with the libm functions within one ulp.
+    That is at most 3.25*m - 1.75 ulps per step, and the reference's own
+    log2 adds one ulp.  Property tests see at most 0.6*n*ulp(max(M, 1)).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    import numpy as np
+
     l_min = spectrum.l_min
     span = spectrum.l_max - l_min
     base = [(l - l_min, math.log2(d)) for l, d in spectrum.degeneracy.items()]
@@ -288,6 +308,9 @@ def iter_log_tables(
         yield LogEnsembleTable(n, n * l_min, cells)
 
 
+_EMPTY = "the support is empty: no length is achievable"
+
+
 def _cell(table: LogEnsembleTable, total_bits: int) -> int:
     """Index of total_bits in the table's log2 array; refuses an
     unachievable length.  A whole-number float names its integer."""
@@ -296,10 +319,8 @@ def _cell(table: LogEnsembleTable, total_bits: int) -> int:
     if 0 <= i < len(log2) and i == int(i) and math.isfinite(log2[int(i)]):
         return int(i)
     support = table._achievable()
-    raise UnachievableLengthError(
-        f"no message encodes to {total_bits} bits "
-        f"(achievable range {support[0]}..{support[-1]})"
-    )
+    where = f"achievable range {support[0]}..{support[-1]}" if support else _EMPTY
+    raise UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")
 
 
 def _nearest(log2: array, i: int, step: int) -> int:
@@ -353,13 +374,12 @@ def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstim
     its two neighbours (and the peak, for a zero difference).
     """
     log2 = table._log2
-    first, last = _nearest(log2, -1, 1), _nearest(log2, len(log2), -1)  # achievable ends
-    if not 0 <= first < last:
+    i = _cell(table, total_bits)
+    lo, hi = _nearest(log2, i, -1), _nearest(log2, i, 1)
+    if lo == hi:  # no achievable neighbour on either side
         raise UnachievableLengthError(
             "support has a single achievable length; no temperature is defined"
         )
-    i = _cell(table, total_bits)
-    lo, hi = _nearest(log2, i, -1), _nearest(log2, i, 1)
     ds = log2[hi] - log2[lo]
     if ds == 0.0:
         # the first maximum: unachievable cells hold -inf and never win
@@ -379,11 +399,18 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     floats (argmax of log2 count - L).
     """
     if isinstance(table, EnsembleTable):
-        last = table._achievable()[-1]
+        support = table._achievable()
+        if not support:
+            raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
+        last = support[-1]
         return max(table.items(), key=lambda item: item[1] << (last - item[0]))[0]
+    import numpy as np
+
     arr = table.log2_array()
-    scores = arr - (table.offset + np.arange(len(arr)))
-    return int(table.offset + int(np.argmax(scores)))
+    i = int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
+    if not math.isfinite(arr[i]):  # every cell is -inf
+        raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
+    return int(table.offset + i)
 
 
 @dataclass(frozen=True)
@@ -427,6 +454,8 @@ def sample_messages(
     if draws < 1:
         raise ValueError("draws must be at least 1")
     _check_alphabet(code, pmf)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     words = [code.codeword(s) for s in code.symbols]
     lengths = np.array([len(w) for w in words], dtype=np.int64)

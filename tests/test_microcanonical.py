@@ -316,6 +316,25 @@ def test_iter_log_tables_ends_like_direct_build():
         assert np.allclose(table.log2_array(), direct.log2_array(), atol=1e-12)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spectrum=kraft_spectra(), n_max=st.integers(1, 40))
+@example(spectrum=CANON_SP, n_max=40)
+@example(spectrum=LengthSpectrum({3: 2, 4: 3, 6: 2}), n_max=40)  # d_min > 1
+@example(spectrum=LengthSpectrum({2: 2, 4: 3, 8: 16}), n_max=40)  # lattice step 2
+@example(spectrum=LengthSpectrum({5: 32}), n_max=40)  # one length
+def test_iter_log_tables_within_the_documented_bound(spectrum, n_max):
+    # every cell of table n within 4*n*m*ulp(max(M, 1)) of math.log2 of its
+    # exact count, M the table's largest log2 count; the same support
+    m = len(spectrum.lengths)
+    for n, table in enumerate(iter_log_tables(spectrum, n_max), start=1):
+        want = count_messages(spectrum, n).log2_array().tolist()
+        got = table.log2_array().tolist()
+        bound = 4 * n * m * math.ulp(max(max(want), 1.0))
+        assert [math.isfinite(v) for v in got] == [math.isfinite(v) for v in want], n
+        err = max(abs(g - w) for g, w in zip(got, want) if math.isfinite(w))
+        assert err <= bound, (spectrum.degeneracy, n, err / bound)
+
+
 def test_iter_log_tables_yields_independent_arrays():
     tables = list(iter_log_tables(CANON_SP, 3))
     tables[0].log2_array()[0] = 123.0
@@ -484,6 +503,21 @@ def test_temperature_at_is_the_series_temperature_at_its_point(table):
             temperature_at(table, table.offset + i)
     with pytest.raises(UnachievableLengthError):
         entropy_at(table, support[0] + 0.5)
+
+
+def test_table_without_an_achievable_length_is_refused():
+    # the constructors accept a table of zero counts, though no spectrum
+    # yields one; every reader refuses it by naming the empty support
+    exact = EnsembleTable(2, 0, [0, 0])
+    empty = "support is empty"
+    with pytest.raises(UnachievableLengthError, match=empty):
+        entropy_at(exact, 1)
+    with pytest.raises(UnachievableLengthError, match=empty):
+        temperature_at(exact, 1)
+    with pytest.raises(UnachievableLengthError, match=empty):
+        most_probable_length(exact)
+    with pytest.raises(UnachievableLengthError, match=empty):
+        most_probable_length(LogEnsembleTable(2, 0, [-math.inf, -math.inf]))
 
 
 def test_temperature_from_real_symmetric_table():

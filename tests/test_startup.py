@@ -37,7 +37,7 @@ def _run_cli(argvs, tail: str = "") -> str:
         "import json, os, sys\n"
         "from thermocode import cli\n"
         f"rcs = [cli.main(argv) for argv in {argvs!r}]\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
         f"print(json.dumps({{'rcs': rcs, 'loaded': loaded, {tail}}}))\n"
     )
 
@@ -96,6 +96,21 @@ def test_count_table_commands_never_load_numpy(tmp_path):
     assert got["loaded"] == []
 
 
+def test_import_leaves_sys_modules_without_numpy():
+    # importing thermocode registers no numpy stand-in, so a library that
+    # checks sys.modules for numpy (pytest.approx does) does not load it
+    got = probe(
+        "import json, sys\n"
+        "import thermocode.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "import pytest\n"
+        "assert 1.0 == pytest.approx(1.0)\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
+        "print(json.dumps({'before': before, 'loaded': loaded}))\n"
+    )
+    assert got == {"before": False, "loaded": []}
+
+
 def _numpy_probe(tmp_path) -> str:
     doc = str(tmp_path / "g16.json")
     argvs = [
@@ -134,23 +149,22 @@ def test_numpy_imported_first_is_the_module_thermocode_uses(tmp_path):
     got = probe(
         "import json, numpy\n"
         "import thermocode\n"
-        "from thermocode import cli, dimension, microcanonical\n"
+        "from thermocode import cli\n"
         f"assert [cli.main(argv) for argv in {argvs!r}] == [0, 0]\n"
         "names = {}\n"
         "exec('from thermocode import *', names)\n"
-        "same = all(m.np is numpy for m in (dimension, microcanonical))\n"
-        "print(json.dumps({'same': same, 'real': hasattr(numpy, 'ndarray'),\n"
+        "print(json.dumps({'real': hasattr(numpy, 'ndarray'),\n"
         "                  'names': sorted(set(names) - {'__builtins__'})}))\n"
     )
-    assert got["same"] and got["real"]
+    assert got["real"]
     assert len(got["names"]) == 55
     assert set(got["names"]) == set(thermocode.__all__)
 
 
 @pytest.mark.parametrize("first", ["thermocode", "numpy"])
 def test_numpy_works_whichever_is_imported_first(first):
-    # the lazy module turns into the real one on first use, for thermocode
-    # and for any later `import numpy`
+    # thermocode's functions import numpy where they use it, so the order
+    # of the two imports does not matter
     second = "numpy" if first == "thermocode" else "thermocode"
     got = probe(
         f"import json, {first}, {second}, numpy\n"

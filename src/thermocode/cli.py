@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import importlib
 import math
 import os
 import sys
@@ -27,49 +28,91 @@ from contextlib import nullcontext
 from functools import reduce
 from itertools import chain, starmap
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .codes import (
-    Code,
-    Pmf,
-    average_codeword_length,
-    dump_code,
-    dyadic_pmf,
-    is_absolutely_optimal,
-    kraft_sum,
-    parse_code,
-    random_complete_code,
-    shannon_entropy,
-)
-from .dimension import (
-    box_dimension,
-    dimension_curve,
-    fit_dimension,
-    limit_dimensions,
-    prefix_counts,
-    unit_temperature_derivatives,
-)
-from .equilibrium import (
-    TwoCodeSystem,
-    _best_split,
-    allocation_table,
-    solve_equilibrium,
-)
 from .errors import (
     CapacityError,
     CodeError,
     InfeasibleError,
     UnachievableLengthError,
 )
-from .gibbs import beta_for_mean_length, beta_from_temperature, gibbs_state
-from .microcanonical import (
-    _temperatures,
-    count_messages,
-    count_messages_log,
-    entropy_at,
-    most_probable_length,
-    sample_messages,
-    temperature_at,
-)
+
+if TYPE_CHECKING:
+    from .codes import Code, Pmf
+
+# The names the commands call, by defining module.  A process imports a
+# module only when a command that uses it runs: _bind puts that module's
+# names into this module's globals just before the command, so a short run
+# compiles what it needs and nothing else.  They are globals, not imports
+# inside each command, so that setting cli.<name> (as a tracer does)
+# replaces what the commands call.
+_IMPORTS = {
+    "codes": (
+        "average_codeword_length",
+        "dump_code",
+        "dyadic_pmf",
+        "is_absolutely_optimal",
+        "kraft_sum",
+        "parse_code",
+        "random_complete_code",
+        "shannon_entropy",
+    ),
+    "dimension": (
+        "box_dimension",
+        "dimension_curve",
+        "fit_dimension",
+        "limit_dimensions",
+        "prefix_counts",
+        "unit_temperature_derivatives",
+    ),
+    "equilibrium": ("TwoCodeSystem", "_best_split", "allocation_table", "solve_equilibrium"),
+    "gibbs": ("beta_for_mean_length", "beta_from_temperature", "gibbs_state"),
+    "microcanonical": (
+        "_temperatures",
+        "count_messages",
+        "count_messages_log",
+        "entropy_at",
+        "most_probable_length",
+        "sample_messages",
+        "temperature_at",
+    ),
+}
+
+# The modules of _IMPORTS each command calls into.
+_USES = {
+    "check": ("codes",),
+    "omega": ("codes", "microcanonical"),
+    "temperature": ("codes", "microcanonical"),
+    "gibbs": ("codes", "gibbs"),
+    "solve-temp": ("codes", "gibbs"),
+    "equilibrium": ("codes", "equilibrium"),
+    "dimension": ("codes", "dimension"),
+    "prefixes": ("codes", "dimension", "gibbs"),
+    "sample": ("codes", "microcanonical"),
+    "gen": ("codes",),
+}
+
+
+def _bind(modules: Iterable[str]) -> None:
+    """Import each module and bind the names of _IMPORTS it defines here.
+    A name already bound is kept, so a wrapper a tracer installed with
+    setattr stays the one the command calls."""
+    names = globals()
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            names.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    # getattr(cli, name) gives the function a command would call, before
+    # any command has run
+    for module, names in _IMPORTS.items():
+        if name in names:
+            _bind([module])
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _CONVENTIONS = (
     "Lengths, entropies, and totals are in bits. "
@@ -514,6 +557,7 @@ def _run(argv: list[str] | None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
+        _bind(_USES[args.command])
         rows, notes = args.func(args)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             for line in rows:

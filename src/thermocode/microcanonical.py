@@ -407,10 +407,11 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     import numpy as np
 
     arr = table.log2_array()
-    i = int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
-    if not math.isfinite(arr[i]):  # every cell is -inf
-        raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
-    return int(table.offset + i)
+    if len(arr):
+        i = int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
+        if math.isfinite(arr[i]):  # else every cell is -inf
+            return int(table.offset + i)
+    raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
 
 
 @dataclass(frozen=True)

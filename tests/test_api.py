@@ -30,3 +30,15 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in thermocode.__all__:
         assert getattr(thermocode, name) is not None, name
+
+
+def test_package_table_matches_each_submodule():
+    # the package resolves each name from the submodule whose __all__ has
+    # it, in the order the submodules list them
+    import importlib
+
+    for module, names in thermocode._EXPORTS.items():
+        source = importlib.import_module(f"thermocode.{module}")
+        assert list(names) == source.__all__, module
+        for name in names:
+            assert getattr(thermocode, name) is getattr(source, name), name

@@ -520,6 +520,14 @@ def test_table_without_an_achievable_length_is_refused():
         most_probable_length(LogEnsembleTable(2, 0, [-math.inf, -math.inf]))
 
 
+@pytest.mark.parametrize("kind", [EnsembleTable, LogEnsembleTable])
+def test_most_probable_length_of_a_table_of_no_cells_is_refused(kind):
+    # zero cells, not only zero counts: the float branch must not reach
+    # numpy's argmax of an empty array
+    with pytest.raises(UnachievableLengthError, match="support is empty"):
+        most_probable_length(kind(2, 0, []))
+
+
 def test_temperature_from_real_symmetric_table():
     # lengths {1, 2} with one word each: counts are binomial, symmetric
     sp = LengthSpectrum({1: 1, 2: 1})

@@ -1,8 +1,11 @@
-"""Process start-up: numpy loads only when a command needs an array, and the
-CLI runs OpenBLAS on one thread unless the caller chose otherwise.
+"""Process start-up: a CLI run imports only the thermocode modules its
+command uses, numpy loads only when a command needs an array, and the CLI
+runs OpenBLAS on one thread unless the caller chose otherwise.
 
 Each probe runs in a fresh interpreter, since this test process has long
-since imported numpy.
+since imported numpy and every thermocode module.  An in-process test
+cannot see a command that calls a name from a module it never declared:
+earlier commands have already bound that name.
 """
 
 import json
@@ -14,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import thermocode
+from thermocode import cli
 
 SRC = str(Path(thermocode.__file__).resolve().parent.parent)
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
 
 def probe(code: str, **env) -> dict:
@@ -40,6 +45,159 @@ def _run_cli(argvs, tail: str = "") -> str:
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
         f"print(json.dumps({{'rcs': rcs, 'loaded': loaded, {tail}}}))\n"
     )
+
+
+@pytest.fixture(scope="module")
+def g16(tmp_path_factory) -> str:
+    doc = str(tmp_path_factory.mktemp("codes") / "g16.json")
+    assert cli.main(["gen", "--leaves", "16", "--seed", "1", "--out", doc]) == 0
+    return doc
+
+
+BASE = ["thermocode", "thermocode.cli", "thermocode.codes", "thermocode.errors"]
+CANONICAL = [*BASE, "thermocode.gibbs", "thermocode.rootfind"]
+COUNTING = [*BASE, "thermocode.microcanonical"]
+PREFIX = [*CANONICAL, "thermocode.dimension"]
+
+
+@pytest.mark.parametrize(
+    "command, options, modules",
+    [
+        ("check", [], BASE),
+        ("gen", ["--leaves", "8", "--seed", "2"], BASE),
+        ("gibbs", ["--beta", "1"], CANONICAL),
+        ("solve-temp", ["--lambda", "4.5"], CANONICAL),
+        ("omega", ["-N", "6"], COUNTING),
+        ("temperature", ["-N", "20"], COUNTING),
+        ("sample", ["-N", "3", "--draws", "100", "--seed", "1"], COUNTING),
+        ("equilibrium", ["-N", "10", "--N2", "10", "-L", "90"],
+         [*CANONICAL, "thermocode.equilibrium", "thermocode.microcanonical"]),
+        ("dimension", ["--grid=-2:2:5"], PREFIX),
+        ("prefixes", ["-N", "4", "-L", "16"], PREFIX),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(g16, tmp_path, command, options, modules):
+    if command == "equilibrium":
+        options = ["--code2", g16, *options]
+    if command != "gen":
+        options = ["--code", g16, *options]
+    argv = [command, *options, "--out", str(tmp_path / "out.txt")]
+    got = probe(
+        "import json, sys\n"
+        "from thermocode import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'thermocode')\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded, 'dataclasses': 'dataclasses' in sys.modules}))\n"
+    )
+    assert got["rc"] == 0
+    assert got["loaded"] == sorted(modules)
+    if modules == BASE:  # check and gen use no dataclass
+        assert not got["dataclasses"]
+
+
+def test_import_loads_no_submodule():
+    got = probe(
+        "import json, sys\n"
+        "import thermocode\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('thermocode'))))\n"
+    )
+    assert got == ["thermocode"]
+
+
+def test_package_names_resolve_on_first_access():
+    got = probe(
+        "import json, sys\n"
+        "import thermocode\n"
+        "listed = dir(thermocode)\n"
+        "try:\n"
+        "    thermocode.no_such_name\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "codes = thermocode.codes\n"
+        "print(json.dumps({\n"
+        "    'listed': listed,\n"
+        "    'missing': missing,\n"
+        "    'codes': codes is sys.modules['thermocode.codes'],\n"
+        "    'same': thermocode.Code is codes.Code,\n"
+        "    'loaded': sorted(m for m in sys.modules if m.startswith('thermocode')),\n"
+        "}))\n"
+    )
+    assert set(thermocode.__all__) <= set(got["listed"])
+    assert {"cli", "codes", "microcanonical", "rootfind"} <= set(got["listed"])
+    assert got["listed"] == sorted(got["listed"])
+    assert got["missing"] == "module 'thermocode' has no attribute 'no_such_name'"
+    assert got["codes"] and got["same"]
+    assert got["loaded"] == ["thermocode", "thermocode.codes", "thermocode.errors"]
+
+
+def test_cli_attributes_are_the_functions_a_tracer_wraps():
+    # bench/layers.py reads each wrapped name from its calling modules before
+    # any command has run, then sets a wrapper there and puts the original back
+    got = probe(
+        "import json, sys\n"
+        f"sys.path.insert(0, {BENCH!r})\n"
+        "import layers\n"
+        "pairs = [(module, name, caller) for module, name, _, callers in layers._layers()\n"
+        "         for caller in callers]\n"
+        "wrong = [f'{caller.__name__}.{name}' for module, name, caller in pairs\n"
+        "         if getattr(caller, name) is not getattr(module, name)]\n"
+        "print(json.dumps({'pairs': len(pairs), 'wrong': wrong}))\n"
+    )
+    assert got["wrong"] == []
+    assert got["pairs"] >= 14
+
+
+def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
+    argv = ["omega", "--code", g16, "-N", "4"]
+    got = probe(
+        "import contextlib, io, json\n"
+        "from thermocode import cli\n"
+        "original = cli.count_messages\n"
+        "calls = []\n"
+        "def wrapper(*args):\n"
+        "    calls.append(args[1])\n"
+        "    return original(*args)\n"
+        "def run():\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        assert cli.main({argv!r}) == 0\n"
+        "    return out.getvalue()\n"
+        "cli.count_messages = wrapper\n"
+        "wrapped = run()\n"
+        "after_wrap = list(calls)\n"
+        "cli.count_messages = original\n"
+        "plain = run()\n"
+        "print(json.dumps({'calls': after_wrap, 'later': calls, 'same': wrapped == plain,\n"
+        "                  'restored': cli.count_messages is original}))\n"
+    )
+    assert got == {"calls": [4], "later": [4], "same": True, "restored": True}
+
+
+def test_every_global_a_cli_function_loads_is_defined_or_declared():
+    # a name the commands call must be defined in cli, be a builtin, or be
+    # listed in cli._IMPORTS, or a command on a path no test runs would
+    # fail with NameError
+    got = probe(
+        "import builtins, dis, json, types\n"
+        "from thermocode import cli\n"
+        "own = set(vars(cli))\n"
+        "declared = {n for names in cli._IMPORTS.values() for n in names}\n"
+        "def codes(co):\n"
+        "    yield co\n"
+        "    for c in co.co_consts:\n"
+        "        if isinstance(c, types.CodeType):\n"
+        "            yield from codes(c)\n"
+        "loads = set()\n"
+        "for value in vars(cli).values():\n"
+        "    if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__:\n"
+        "        for co in codes(value.__code__):\n"
+        "            loads |= {i.argval for i in dis.get_instructions(co) if i.opname == 'LOAD_GLOBAL'}\n"
+        "print(json.dumps({'undeclared': sorted(loads - own - declared - set(dir(builtins))),\n"
+        "                  'shadowed': sorted(own & declared),\n"
+        "                  'unused': sorted(declared - loads)}))\n"
+    )
+    assert got == {"undeclared": [], "shadowed": [], "unused": []}
 
 
 def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):

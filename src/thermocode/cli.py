@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import importlib
 import math
 import os
 import sys
@@ -40,78 +39,22 @@ from .errors import (
 if TYPE_CHECKING:
     from .codes import Code, Pmf
 
-# The names the commands call, by defining module.  A process imports a
-# module only when a command that uses it runs: _bind puts that module's
-# names into this module's globals just before the command, so a short run
-# compiles what it needs and nothing else.  They are globals, not imports
-# inside each command, so that setting cli.<name> (as a tracer does)
-# replaces what the commands call.
-_IMPORTS = {
-    "codes": (
-        "average_codeword_length",
-        "dump_code",
-        "dyadic_pmf",
-        "is_absolutely_optimal",
-        "kraft_sum",
-        "parse_code",
-        "random_complete_code",
-        "shannon_entropy",
-    ),
-    "dimension": (
-        "box_dimension",
-        "dimension_curve",
-        "fit_dimension",
-        "limit_dimensions",
-        "prefix_counts",
-        "unit_temperature_derivatives",
-    ),
-    "equilibrium": ("TwoCodeSystem", "_best_split", "allocation_table", "solve_equilibrium"),
-    "gibbs": ("beta_for_mean_length", "beta_from_temperature", "gibbs_state"),
-    "microcanonical": (
-        "_temperatures",
-        "count_messages",
-        "count_messages_log",
-        "entropy_at",
-        "most_probable_length",
-        "sample_messages",
-        "temperature_at",
-    ),
-}
-
-# The modules of _IMPORTS each command calls into.
-_USES = {
-    "check": ("codes",),
-    "omega": ("codes", "microcanonical"),
-    "temperature": ("codes", "microcanonical"),
-    "gibbs": ("codes", "gibbs"),
-    "solve-temp": ("codes", "gibbs"),
-    "equilibrium": ("codes", "equilibrium"),
-    "dimension": ("codes", "dimension"),
-    "prefixes": ("codes", "dimension", "gibbs"),
-    "sample": ("codes", "microcanonical"),
-    "gen": ("codes",),
-}
-
-
-def _bind(modules: Iterable[str]) -> None:
-    """Import each module and bind the names of _IMPORTS it defines here.
-    A name already bound is kept, so a wrapper a tracer installed with
-    setattr stays the one the command calls."""
-    names = globals()
-    for module in modules:
-        source = importlib.import_module(f".{module}", __package__)
-        for name in _IMPORTS[module]:
-            names.setdefault(name, getattr(source, name))
+# The commands call the package's public names as attributes of this
+# module, as in _self.parse_code(...).  The first read of a name falls
+# through to __getattr__ below, which imports its defining submodule through
+# the package (whose _EXPORTS is the one name table) and binds the name
+# here, so a run imports only the modules its command calls.  Setting
+# cli.<name> (as a tracer does) replaces what the commands call.  _self is
+# this module also when it runs as __main__ (python -m thermocode.cli).
+_self = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    # getattr(cli, name) gives the function a command would call, before
-    # any command has run
-    for module, names in _IMPORTS.items():
-        if name in names:
-            _bind([module])
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 _CONVENTIONS = (
@@ -156,7 +99,7 @@ def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
 
 
 def _load_code(path: str) -> tuple[Code, Pmf | None]:
-    return parse_code(Path(path).read_text())
+    return _self.parse_code(Path(path).read_text())
 
 
 def _int_total(value: float, what: str = "-L") -> int:
@@ -176,7 +119,7 @@ def _int_total(value: float, what: str = "-L") -> int:
 def _cmd_check(args):
     code, pmf = _load_code(args.code)
     spectrum = code.spectrum()
-    k = kraft_sum(code)
+    k = _self.kraft_sum(code)
     rows = [
         f"n={len(code)}",
         f"l_min={spectrum.l_min}",
@@ -185,18 +128,18 @@ def _cmd_check(args):
         f"complete={'true' if k == 1 else 'false'}",
     ]
     if pmf is not None:
-        entropy = shannon_entropy(pmf)
-        avg = average_codeword_length(code, pmf)
+        entropy = _self.shannon_entropy(pmf)
+        avg = _self.average_codeword_length(code, pmf)
         rows.append(f"H={_fmt(float(entropy))}")
         rows.append(f"L_X={_fmt(float(avg))}")
-        rows.append(f"optimal={'true' if is_absolutely_optimal(code, pmf) else 'false'}")
+        rows.append(f"optimal={'true' if _self.is_absolutely_optimal(code, pmf) else 'false'}")
     return rows, ()
 
 
 def _count_table(args):
     """The message-count table of --code at -N, exact or log2 per --mode."""
     code, _ = _load_code(args.code)
-    build = count_messages if args.mode == "exact" else count_messages_log
+    build = _self.count_messages if args.mode == "exact" else _self.count_messages_log
     return build(code.spectrum(), args.n_symbols)
 
 
@@ -249,6 +192,8 @@ def _cmd_omega(args):
     if args.window:
         values = _windowed(support, values, args.window, exact)
     entropies = [math.log2(c) for c in values] if exact else values
+    from .microcanonical import _temperatures
+
     temperatures = _temperatures(support, entropies)
     rows = (
         (L, value if exact else "", s, s, t)
@@ -260,9 +205,9 @@ def _cmd_omega(args):
 def _cmd_temperature(args):
     table = _count_table(args)
     star = args.total_bits is None
-    total = most_probable_length(table) if star else _int_total(args.total_bits)
-    est = temperature_at(table, total)
-    entropy = entropy_at(table, total)
+    total = _self.most_probable_length(table) if star else _int_total(args.total_bits)
+    est = _self.temperature_at(table, total)
+    entropy = _self.entropy_at(table, total)
     at = "_at_L_star" if star else ""
     if star:
         rows = [f"L_star={total}", f"L_star_over_N={_fmt(total / args.n_symbols)}"]
@@ -287,8 +232,8 @@ def _gibbs_rows(state):
 
 def _cmd_gibbs(args):
     code, _ = _load_code(args.code)
-    beta = args.beta if args.beta is not None else beta_from_temperature(args.temp)
-    return _gibbs_rows(gibbs_state(code.spectrum(), beta)), ()
+    beta = args.beta if args.beta is not None else _self.beta_from_temperature(args.temp)
+    return _gibbs_rows(_self.gibbs_state(code.spectrum(), beta)), ()
 
 
 def _cmd_solve_temp(args):
@@ -304,14 +249,14 @@ def _cmd_solve_temp(args):
         if args.n_symbols < 1:
             raise CodeError("n_symbols must be at least 1")
         target = args.total_bits / args.n_symbols
-    beta = beta_for_mean_length(spectrum, target)
-    return _gibbs_rows(gibbs_state(spectrum, beta)), ()
+    beta = _self.beta_for_mean_length(spectrum, target)
+    return _gibbs_rows(_self.gibbs_state(spectrum, beta)), ()
 
 
 def _cmd_equilibrium(args):
     code1, _ = _load_code(args.code)
     code2, _ = _load_code(args.code2)
-    system = TwoCodeSystem(
+    system = _self.TwoCodeSystem(
         spectrum_first=code1.spectrum(),
         n_first=args.n_symbols,
         spectrum_second=code2.spectrum(),
@@ -319,11 +264,13 @@ def _cmd_equilibrium(args):
     )
     if args.brute:
         total = _int_total(args.total_bits)
-        rows = allocation_table(system, total)
+        rows = _self.allocation_table(system, total)
         if not rows:
             raise UnachievableLengthError(f"no achievable split of {total} bits")
+        from .equilibrium import _best_split
+
         return _csv("L_I,L_II,omega_I,omega_II,product", rows), [("L_I_star", _best_split(rows))]
-    allocation = solve_equilibrium(system, args.total_bits)
+    allocation = _self.solve_equilibrium(system, args.total_bits)
     row = (
         allocation.beta_star,
         _fmt(allocation.temperature, signed_inf=False),
@@ -370,8 +317,8 @@ def _cmd_dimension(args):
     code, _ = _load_code(args.code)
     spectrum = code.spectrum()
     betas = _parse_grid(args.grid)
-    curve = dimension_curve(spectrum, betas)
-    limits = limit_dimensions(spectrum)
+    curve = _self.dimension_curve(spectrum, betas)
+    limits = _self.limit_dimensions(spectrum)
     notes = [
         ("dim_T_to_0_plus", limits.t_to_zero_plus),
         ("dim_T_equal_1", limits.t_equal_one),
@@ -379,7 +326,7 @@ def _cmd_dimension(args):
         ("dim_T_to_0_minus", limits.t_to_zero_minus),
     ]
     if not spectrum.is_degenerate:
-        first, second = unit_temperature_derivatives(spectrum)
+        first, second = _self.unit_temperature_derivatives(spectrum)
         notes.append(("ddim_dT_at_1", first))
         notes.append(("d2dim_dT2_at_1", second))
     rows = (
@@ -392,13 +339,13 @@ def _cmd_dimension(args):
 def _cmd_prefixes(args):
     code, _ = _load_code(args.code)
     total = _int_total(args.total_bits)
-    table = prefix_counts(code, args.n_symbols, total, n_max=args.n_max)
-    notes = {"fitted_slope": fit_dimension(table)}
+    table = _self.prefix_counts(code, args.n_symbols, total, n_max=args.n_max)
+    notes = {"fitted_slope": _self.fit_dimension(table)}
     spectrum = code.spectrum()
     if not spectrum.is_degenerate and spectrum.l_min < total / args.n_symbols < spectrum.l_max:
-        beta = beta_for_mean_length(spectrum, total / args.n_symbols)
+        beta = _self.beta_for_mean_length(spectrum, total / args.n_symbols)
         notes["matched_beta"] = beta
-        notes["dim_at_matched_beta"] = box_dimension(spectrum, beta)
+        notes["dim_at_matched_beta"] = _self.box_dimension(spectrum, beta)
     rows = zip(range(len(table.counts)), table.counts, table.log2_counts())
     return _csv("n,count,log2_count", rows), notes.items()
 
@@ -406,9 +353,9 @@ def _cmd_prefixes(args):
 def _cmd_sample(args):
     code, pmf = _load_code(args.code)
     if pmf is None:
-        pmf = dyadic_pmf(code)  # fails loudly for incomplete codes
+        pmf = _self.dyadic_pmf(code)  # fails loudly for incomplete codes
     focus = _int_total(args.focus_L, "--focus-L") if args.focus_L is not None else None
-    report = sample_messages(
+    report = _self.sample_messages(
         code, pmf, args.n_symbols, args.draws, args.seed, focus_total=focus
     )
     notes = [
@@ -424,8 +371,8 @@ def _cmd_sample(args):
 
 
 def _cmd_gen(args):
-    code = random_complete_code(args.leaves, args.seed)
-    return dump_code(code, dyadic_pmf(code)).splitlines(), ()
+    code = _self.random_complete_code(args.leaves, args.seed)
+    return _self.dump_code(code, _self.dyadic_pmf(code)).splitlines(), ()
 
 
 # -------------------------------------------------------------------- parser
@@ -557,7 +504,6 @@ def _run(argv: list[str] | None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        _bind(_USES[args.command])
         rows, notes = args.func(args)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             for line in rows:

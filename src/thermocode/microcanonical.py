@@ -61,6 +61,13 @@ MAX_BRUTE_MESSAGES = 10_000_000
 _SAMPLE_CHUNK_CELLS = 1_000_000
 
 
+def _index(table: LogEnsembleTable, total_bits: int) -> int:
+    """Index of total_bits in the table's arrays; -1 past either end or at
+    a length between two integers.  A whole-number float names its integer."""
+    i = total_bits - table._offset
+    return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
+
+
 def _log2_counts(counts: Iterable[int]) -> array:
     """math.log2 of each exact count as float64, -inf for 0."""
     return array("d", (math.log2(c) if c else -math.inf for c in counts))
@@ -113,10 +120,8 @@ class LogEnsembleTable:
             return math.inf
 
     def log2_count(self, total_bits: int) -> float:
-        i = total_bits - self._offset
-        if 0 <= i < len(self._log2):
-            return self._log2[i]
-        return -math.inf
+        i = _index(self, total_bits)
+        return self._log2[i] if i >= 0 else -math.inf
 
     def log2_array(self) -> np.ndarray:
         """The raw log2-count array; index i is total length offset + i."""
@@ -146,10 +151,8 @@ class EnsembleTable(LogEnsembleTable):
 
     def count(self, total_bits: int) -> int:
         """Number of messages encoding to exactly total_bits; 0 if none."""
-        i = total_bits - self._offset
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
+        i = _index(self, total_bits)
+        return self._coeffs[i] if i >= 0 else 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(total_bits, count) pairs over the support, ascending."""
@@ -242,7 +245,9 @@ def count_messages_brute(
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     k = len(code)
-    if k**n_symbols > max_messages:
+    # k**n_symbols >= 2**n_symbols once k > 1, so a long message is refused
+    # without building the power, which takes seconds for a large n_symbols
+    if (k > 1 and n_symbols >= max_messages.bit_length()) or k**n_symbols > max_messages:
         raise CapacityError(
             f"{k}**{n_symbols} messages exceed the enumeration cap {max_messages}"
         )
@@ -312,12 +317,10 @@ _EMPTY = "the support is empty: no length is achievable"
 
 
 def _cell(table: LogEnsembleTable, total_bits: int) -> int:
-    """Index of total_bits in the table's log2 array; refuses an
-    unachievable length.  A whole-number float names its integer."""
-    log2 = table._log2
-    i = total_bits - table.offset
-    if 0 <= i < len(log2) and i == int(i) and math.isfinite(log2[int(i)]):
-        return int(i)
+    """_index of total_bits, refusing an unachievable length."""
+    i = _index(table, total_bits)
+    if i >= 0 and math.isfinite(table._log2[i]):
+        return i
     support = table._achievable()
     where = f"achievable range {support[0]}..{support[-1]}" if support else _EMPTY
     raise UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")

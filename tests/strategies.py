@@ -1,8 +1,9 @@
 """Shared hypothesis strategies and exact oracles for the property tests.
 
-kraft_spectra draws realizable length spectra; exact_stats gives the
-canonical cumulants of one as exact rationals, with log2 Z to about 60
-digits, for the float paths to be checked against.
+kraft_spectra draws realizable length spectra and whole_codes the
+canonical prefix codes of small ones; exact_stats gives the canonical
+cumulants of a spectrum as exact rationals, with log2 Z to about 60 digits,
+for the float paths to be checked against.
 """
 
 from decimal import Decimal, localcontext
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from thermocode import LengthSpectrum
+from thermocode import Code, LengthSpectrum
 
 
 @st.composite
@@ -30,6 +31,26 @@ def kraft_spectra(draw):
         counts[l] = draw(st.just(most) | st.integers(1, min(most, 1 << 20)))
         free -= counts[l] * unit
     return LengthSpectrum(counts)
+
+
+def canonical_code(spectrum: LengthSpectrum) -> Code:
+    """The canonical prefix code of a realizable spectrum: shortest words
+    first, each word the binary successor of the one before, extended with
+    zeros on the right to its length."""
+    words, value, previous = {}, 0, spectrum.l_min
+    for l in spectrum.lengths:
+        value <<= l - previous
+        for _ in range(spectrum.count(l)):
+            words[f"s{len(words)}"] = format(value, f"0{l}b")
+            value += 1
+        previous = l
+    return Code(words)
+
+
+def whole_codes():
+    """Canonical codes of the kraft_spectra draws with at most 64 codewords,
+    few enough to enumerate messages of."""
+    return kraft_spectra().filter(lambda s: s.n_codewords <= 64).map(canonical_code)
 
 
 def exact_stats(spectrum, beta: int) -> tuple[Decimal, Fraction, Fraction, Fraction]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +34,7 @@ from thermocode import (
 )
 from thermocode import microcanonical
 from thermocode.microcanonical import _temperatures
-from strategies import kraft_spectra
+from strategies import kraft_spectra, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -98,6 +99,51 @@ def test_counts_match_brute_module():
             exact = count_messages(sp, n).to_dict()
             brute = count_messages_brute(code, n).to_dict()
             assert exact == brute
+
+
+# the most messages a property test enumerates
+BRUTE_MESSAGES = 10**4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(code=whole_codes(), n=st.integers(1, 12))
+@example(code=CANON, n=8)
+@example(code=GAPPY, n=4)
+@example(code=Code({"a": "0", "b": "10"}), n=12)
+@example(code=Code({"a": "0"}), n=12)  # one word
+@example(code=random_complete_code(5, 3), n=5)
+@example(code=random_complete_code(3, 11), n=5)
+@example(code=random_complete_code(6, 19), n=5)
+def test_counts_match_enumeration_on_whole_codes(code, n):
+    while len(code) ** n > BRUTE_MESSAGES:
+        n -= 1
+    assert count_messages(code.spectrum(), n).to_dict() == count_messages_brute(code, n).to_dict()
+
+
+def test_brute_guard_refuses_a_long_message_at_once():
+    # 3**(10**9) alone would take minutes to build; the guard never builds it
+    start = time.process_time()
+    with pytest.raises(CapacityError, match=r"3\*\*1000000000 messages exceed"):
+        count_messages_brute(CANON, 10**9)
+    assert time.process_time() - start < 1.0
+    with pytest.raises(CapacityError):
+        count_messages_brute(CANON, 15)  # 3**15 is just past the default cap
+    with pytest.raises(CapacityError):
+        count_messages_brute(CANON, 4, max_messages=80)
+    assert count_messages_brute(CANON, 4, max_messages=81).to_dict() == {4: 1, 5: 8, 6: 24, 7: 32, 8: 16}
+    assert count_messages_brute(Code({"a": "01"}), 1000).to_dict() == {2000: 1}
+
+
+@pytest.mark.parametrize("build", [count_messages, count_messages_log])
+def test_table_readers_take_a_whole_number_float(build):
+    # at N = 3 the canonical code has 12 messages of 5 bits and none of 5.5
+    table = build(CANON_SP, 3)
+    assert table.count(5) == table.count(5.0) == 12
+    assert table.log2_count(5) == table.log2_count(5.0) == math.log2(12)
+    assert table.count(5.5) == 0
+    assert table.log2_count(5.5) == -math.inf
+    assert entropy_at(table, 5.0) == math.log2(12)
+    assert type(count_messages(CANON_SP, 3).count(5.0)) is int
 
 
 def test_table_support_and_lookup():
@@ -580,6 +626,18 @@ def test_most_probable_length_matches_fraction_oracle():
         for n in (1, 2, 7, 25, 40):
             table = count_messages(sp, n)
             assert most_probable_length(table) == brute_most_probable(table)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spectrum=kraft_spectra(), n=st.integers(1, 30))
+@example(spectrum=CANON_SP, n=3)  # a tie: 4 and 5 bits weigh 3/8 each
+@example(spectrum=LengthSpectrum({1: 1, 3: 1}), n=9)  # a tie at the top, lattice step 2
+@example(spectrum=LengthSpectrum({2: 3, 3: 2}), n=25)  # d_min > 1
+@example(spectrum=LengthSpectrum({3: 8}), n=7)  # one length
+@example(spectrum=random_complete_code(16, 5).spectrum(), n=25)
+def test_most_probable_length_matches_fraction_oracle_on_kraft_spectra(spectrum, n):
+    table = count_messages(spectrum, n)
+    assert most_probable_length(table) == brute_most_probable(table)
 
 
 def test_most_probable_length_log_agrees_with_exact():

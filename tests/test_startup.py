@@ -4,12 +4,13 @@ runs OpenBLAS on one thread unless the caller chose otherwise.
 
 Each probe runs in a fresh interpreter, since this test process has long
 since imported numpy and every thermocode module.  An in-process test
-cannot see a command that calls a name from a module it never declared:
-earlier commands have already bound that name.
+cannot see which modules a command loads: earlier commands have already
+imported them.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,18 +24,31 @@ SRC = str(Path(thermocode.__file__).resolve().parent.parent)
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
 
-def probe(code: str, **env) -> dict:
-    """Run code in a fresh interpreter; it prints one JSON object last."""
+def _env(**env) -> dict:
+    """This process's environment with src first on PYTHONPATH and no
+    OPENBLAS_NUM_THREADS, plus env."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     path = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
+    return {**base, "PYTHONPATH": path, **env}
+
+
+def probe(code: str, **env) -> dict:
+    """Run code in a fresh interpreter; it prints one JSON object last."""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**base, "PYTHONPATH": path, **env},
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", code], env=_env(**env), capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_main_module(argv) -> tuple[int, bytes, list[str]]:
+    """Run `python -m thermocode.cli argv` in a fresh interpreter: its exit
+    code, its stdout, and the thermocode modules it imported, read from the
+    import lines -v writes to stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "thermocode.cli", *argv], env=_env(), capture_output=True
+    )
+    loaded = re.findall(r"^import '(thermocode[\w.]*)' #", proc.stderr.decode(), re.MULTILINE)
+    return proc.returncode, proc.stdout, sorted(set(loaded))
 
 
 def _run_cli(argvs, tail: str = "") -> str:
@@ -93,6 +107,44 @@ def test_each_command_loads_only_the_modules_it_runs(g16, tmp_path, command, opt
     assert got["loaded"] == sorted(modules)
     if modules == BASE:  # check and gen use no dataclass
         assert not got["dataclasses"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("check", []),
+        ("gibbs", ["--beta", "1"]),
+        ("omega", ["-N", "20"]),
+        ("equilibrium", ["-N", "10", "--N2", "10", "-L", "90", "--brute"]),
+    ],
+)
+def test_main_module_writes_what_main_writes(g16, command, options):
+    # the benchmark runs every job as `python -m thermocode.cli`, where cli
+    # is __main__: it must read its names off itself, not a second copy
+    argv = [command, "--code", g16, *options]
+    if command == "equilibrium":
+        argv[3:3] = ["--code2", g16]
+    rc, out, loaded = run_main_module(argv)
+    got = probe(
+        "import contextlib, io, json, sys\n"
+        "from thermocode import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'thermocode')\n"
+        "print(json.dumps({'rc': rc, 'out': out.getvalue(), 'loaded': loaded}))\n"
+    )
+    assert rc == got["rc"] == 0
+    assert out and out == got["out"].encode()
+    assert "thermocode.cli" not in loaded
+    assert loaded == [m for m in got["loaded"] if m != "thermocode.cli"]
+
+
+def test_main_module_refuses_a_missing_file_before_loading_the_counting_module(tmp_path):
+    rc, out, loaded = run_main_module(["omega", "--code", str(tmp_path / "missing.json"), "-N", "3"])
+    assert rc == 1
+    assert out == b""
+    assert "thermocode.microcanonical" not in loaded
 
 
 def test_import_loads_no_submodule():
@@ -174,30 +226,44 @@ def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
     assert got == {"calls": [4], "later": [4], "same": True, "restored": True}
 
 
-def test_every_global_a_cli_function_loads_is_defined_or_declared():
-    # a name the commands call must be defined in cli, be a builtin, or be
-    # listed in cli._IMPORTS, or a command on a path no test runs would
-    # fail with NameError
+def test_every_name_a_cli_function_loads_is_defined_or_public():
+    # a bare global must be defined in cli or be a builtin, and a name read
+    # off _self must be a public name of the package, or a command on a
+    # path no test runs would fail with NameError or AttributeError.  Run
+    # before any command, so no name has been bound into cli yet.
     got = probe(
         "import builtins, dis, json, types\n"
+        "import thermocode\n"
         "from thermocode import cli\n"
-        "own = set(vars(cli))\n"
-        "declared = {n for names in cli._IMPORTS.values() for n in names}\n"
+        "own = set(vars(cli)) | set(dir(builtins))\n"
         "def codes(co):\n"
         "    yield co\n"
         "    for c in co.co_consts:\n"
         "        if isinstance(c, types.CodeType):\n"
         "            yield from codes(c)\n"
-        "loads = set()\n"
-        "for value in vars(cli).values():\n"
+        "undefined, read, not_read = set(), set(), []\n"
+        "for value in list(vars(cli).values()):\n"
         "    if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__:\n"
         "        for co in codes(value.__code__):\n"
-        "            loads |= {i.argval for i in dis.get_instructions(co) if i.opname == 'LOAD_GLOBAL'}\n"
-        "print(json.dumps({'undeclared': sorted(loads - own - declared - set(dir(builtins))),\n"
-        "                  'shadowed': sorted(own & declared),\n"
-        "                  'unused': sorted(declared - loads)}))\n"
+        "            ins = list(dis.get_instructions(co))\n"
+        "            for load, after in zip(ins, ins[1:]):\n"
+        "                if load.opname != 'LOAD_GLOBAL':\n"
+        "                    continue\n"
+        "                if load.argval not in own:\n"
+        "                    undefined.add(load.argval)\n"
+        "                if load.argval == '_self':\n"
+        "                    if after.opname in ('LOAD_ATTR', 'LOAD_METHOD'):\n"
+        "                        read.add(after.argval)\n"
+        "                    else:\n"
+        "                        not_read.append(after.opname)\n"
+        "print(json.dumps({'undefined': sorted(undefined), 'not_read': not_read,\n"
+        "                  'read': sorted(read), 'public': thermocode.__all__}))\n"
     )
-    assert got == {"undeclared": [], "shadowed": [], "unused": []}
+    assert got["undefined"] == []
+    assert got["not_read"] == []
+    assert sorted(set(got["read"]) - set(got["public"])) == []
+    # every command's library calls go through _self
+    assert {"parse_code", "count_messages", "gibbs_state", "prefix_counts"} <= set(got["read"])
 
 
 def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):

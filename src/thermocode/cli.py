@@ -346,7 +346,7 @@ def _cmd_prefixes(args):
         beta = _self.beta_for_mean_length(spectrum, total / args.n_symbols)
         notes["matched_beta"] = beta
         notes["dim_at_matched_beta"] = _self.box_dimension(spectrum, beta)
-    rows = zip(range(len(table.counts)), table.counts, table.log2_counts())
+    rows = ((n, c, math.log2(c)) for n, c in enumerate(table.counts))
     return _csv("n,count,log2_count", rows), notes.items()
 
 

@@ -14,13 +14,19 @@ a complete code has slope 0 and negative curvature there.
 
 The empirical side counts, exactly, the distinct n-bit prefixes of all
 messages of fixed symbol count and fixed total coded length; the slope of
-log2(count) against n estimates the same dimension.
+log2(count) against n estimates the same dimension.  Both run on the
+standard library: the counts are Python ints over integer bitsets, and the
+slope is summed exactly and rounded once.  Only PrefixCountTable.log2_counts,
+which returns an ndarray, imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mul
 
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
@@ -37,15 +43,20 @@ __all__ = [
     "dimension_curve",
 ]
 
-# prefix_counts refuses a table of more than MAX_REACH_CELLS bytes: the
-# (N+1)(L+1) one-byte reachability cells plus 17 (N+1) bytes of rows per
+# prefix_counts refuses a table of more than MAX_REACH_CELLS bytes, charged
+# as (N+1)(L+1) one-byte reachability cells plus 17 (N+1) bytes of rows per
 # code-tree node.  It also refuses more than MAX_PREFIX_STEPS DP steps of
 # time, charged as n_max * nodes * (N+1) * (l_max+1).  canon {0, 10, 11} at
-# N=600, L=900 needs 0.56 million bytes and 3.2 million steps, the largest
-# canon table the byte cap admits (N = L = 10**4) about 6e8 steps.  The
-# big-integer size of the row counts (up to L bits each) is not charged.
+# N=600, L=900 is charged 0.56 million bytes and 3.2 million steps, the
+# largest canon table the byte cap admits (N = L = 10**4) about 6e8 steps.
+# Both charges bound the work from above: the reachability is L+1 bitsets
+# of N+1 bits, the rows are one root row per step for the last l_max steps,
+# and a step costs (N+1) cells per distinct length and per class of nodes.
+# The big-integer size of the row counts (up to L bits each) is not charged.
 MAX_REACH_CELLS = 10**8
 MAX_PREFIX_STEPS = 2 * 10**9
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' digits to 0/1 bytes
 
 
 def box_dimension(spectrum: LengthSpectrum, beta: float) -> float:
@@ -131,19 +142,20 @@ class PrefixCountTable:
         return np.array([math.log2(c) for c in self.counts])
 
 
-def _achievable_rows(spectrum: LengthSpectrum, n_symbols: int, budget: int) -> np.ndarray:
-    """Boolean table: row m, column j true iff m codewords can total j bits."""
-    import numpy as np
-
-    reach = np.zeros((n_symbols + 1, budget + 1), dtype=bool)
-    reach[0, 0] = True
-    for m in range(1, n_symbols + 1):
-        row = reach[m]
-        prev = reach[m - 1]
-        for l in spectrum.lengths:
-            if l <= budget:
-                row[l:] |= prev[: budget + 1 - l]
-    return reach
+def _achievable_rows(spectrum: LengthSpectrum, n_symbols: int, budget: int) -> list[int]:
+    """Reachability as bitsets: bit m of cols[j] is set iff m codewords can
+    total j bits, for m up to n_symbols and j up to budget."""
+    keep = (1 << n_symbols + 1) - 1
+    lengths = spectrum.lengths
+    cols = [1]
+    for j in range(1, budget + 1):
+        acc = 0
+        for l in lengths:
+            if l > j:
+                break
+            acc |= cols[j - l]
+        cols.append(acc << 1 & keep)
+    return cols
 
 
 def prefix_counts(
@@ -151,18 +163,20 @@ def prefix_counts(
 ) -> PrefixCountTable:
     """Count distinct prefixes of the message set by exact dynamic programming.
 
-    Every message prefix parses uniquely as k whole codewords followed by one
-    node of the code tree, a proper prefix of a codeword (the root "" when the
-    prefix ends on a codeword boundary).  So rows[i, k], the number of
-    distinct n-bit prefixes ending at node i after k whole codewords, counts
-    prefixes without materializing any string, and the count at length n is
-    the sum of all rows.  Each bit moves the row of every node to its
-    children and returns the rows of the parents of codewords to the root
-    with k + 1.  A boolean mask then zeroes every cell that cannot be
-    completed to exactly total_bits, read from the achievable-length table of
-    the remaining codewords: the root needs n_symbols - k codewords filling
-    the bits left, any other node a codeword ending e bits below it and
-    n_symbols - k - 1 codewords filling the rest.
+    Every message prefix parses uniquely as k whole codewords followed by a
+    node of the code tree, a proper prefix of a codeword (the root "" when
+    the prefix ends on a codeword boundary), and it can be completed iff its
+    last part can: the root needs n_symbols - k codewords filling the bits
+    left, any other node a codeword ending e bits below it and
+    n_symbols - k - 1 codewords filling the rest.  Every prefix of a
+    completable string is completable, so the prefixes at a node of depth d
+    after n bits are the completable k-codeword strings of n - d bits that
+    pass the node's own test.  Only the root row is kept: rows[t][k], the
+    number of completable k-codeword strings of t bits, is
+    sum_l d_l * rows[t - l][k - 1] masked by the root test, over the last
+    l_max steps.  The count at length n is the root row's sum plus, for
+    each class of nodes sharing a depth and a set of codeword ends below
+    them, the class size times the masked sum of the row of n - depth.
 
     Args:
         code: the prefix code.
@@ -174,10 +188,10 @@ def prefix_counts(
         PrefixCountTable with exact counts for n = 0 .. n_max.
 
     Raises CapacityError when the (n_symbols + 1) x (total_bits + 1)
-    reachability table plus 17 bytes per node and k (two generations of
-    8-byte row slots and a mask byte) would pass MAX_REACH_CELLS bytes, or
-    when n_max * nodes * (n_symbols + 1) * (l_max + 1) DP steps would pass
-    MAX_PREFIX_STEPS; both are checked before any table is built.
+    reachability table plus 17 bytes per node and k would pass
+    MAX_REACH_CELLS bytes, or when n_max * nodes * (n_symbols + 1) *
+    (l_max + 1) DP steps would pass MAX_PREFIX_STEPS (upper bounds on the
+    work, see MAX_REACH_CELLS); both are checked before any table is built.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -191,7 +205,7 @@ def prefix_counts(
     if not 0 <= n_max <= total_bits:
         raise ValueError("n_max must lie in [0, total_bits]")
     words = code.words.values()
-    nodes = sorted({w[:i] for w in words for i in range(len(w))})
+    nodes = {w[:i] for w in words for i in range(len(w))}
     needed = (n_symbols + 1) * (total_bits + 1 + 17 * len(nodes))
     if needed > MAX_REACH_CELLS:
         raise CapacityError(
@@ -202,45 +216,64 @@ def prefix_counts(
     if steps > MAX_PREFIX_STEPS:
         raise CapacityError(f"prefix table needs {steps:.3g} DP steps (cap {MAX_PREFIX_STEPS})")
 
-    import numpy as np
-
-    reach = _achievable_rows(spectrum, n_symbols, total_bits)
-    if not reach[n_symbols, total_bits]:
+    cols = _achievable_rows(spectrum, n_symbols, total_bits)
+    if not cols[total_bits] >> n_symbols & 1:
         raise UnachievableLengthError(
             f"no message of {n_symbols} codewords totals {total_bits} bits"
         )
 
-    index = {p: i for i, p in enumerate(nodes)}
-    parent = np.array([index[p[:-1]] for p in nodes[1:]], dtype=np.intp)
-    leaf_parent = np.array([index[w[:-1]] for w in words], dtype=np.intp)
-    below = np.zeros((len(nodes), spectrum.l_max + 1), dtype=bool)
+    below: dict[str, set[int]] = {}  # non-root node -> codeword ends below it
     for w in words:
-        for i in range(len(w)):
-            below[index[w[:i]], len(w) - i] = True
-    back = reach[::-1]  # back[k] is reach[n_symbols - k]
+        for i in range(1, len(w)):
+            below.setdefault(w[:i], set()).add(len(w) - i)
+    classes = Counter((len(node), tuple(sorted(ends))) for node, ends in below.items())
+    width = f"0{n_symbols + 1}b"
 
-    rows = np.zeros((len(nodes), n_symbols + 1), dtype=object)
-    rows[0, 0] = 1
+    def fits(mask: int) -> bytes:
+        """Byte k is 1 iff bit n_symbols - 1 - k of mask is set: after k
+        codewords and one more, whether the n_symbols - k - 1 left fit."""
+        return format(mask, width)[1:].encode().translate(_BITS)
+
+    # rows[-d] is the root row of d steps back as (lo, row): row[i] counts
+    # the completable strings of lo + i codewords.  Rows before step 0 are
+    # empty.
+    rows = deque([(0, [])] * spectrum.l_max, maxlen=spectrum.l_max)
+    rows.append((0, [1]))
+    terms = spectrum.degeneracy.items()
     counts = [1]
     for n in range(1, n_max + 1):
         left = total_bits - n
-        new = np.zeros_like(rows)
-        new[1:] = rows[parent]
-        new[0, 1:] = rows[leaf_parent, :-1].sum(axis=0)
-        mask = np.zeros(rows.shape, dtype=bool)
-        mask[0] = back[:, left]
-        for e in range(1, min(spectrum.l_max, left) + 1):
-            mask[1:, :-1] |= below[1:, e, None] & back[1:, left - e]
-        new[~mask] = 0
-        rows = new
-        counts.append(int(rows.sum()))
+        count = 0
+        for (depth, ends), size in classes.items():
+            mask = 0
+            for e in ends:
+                if e <= left:
+                    mask |= cols[left - e]
+            lo, row = rows[-depth]
+            count += size * sum(compress(row, fits(mask)[lo:]))
+        # the root row of the strings that gain a codeword, by k before it
+        live = [(rows[-l], d) for l, d in terms if rows[-l][1]]
+        lo = min((a for (a, _), _ in live), default=0)
+        hi = max((a + len(r) for (a, r), _ in live), default=0)
+        grown = [0] * (hi - lo)
+        for (start, r), d in live:
+            i = start - lo
+            grown[i : i + len(r)] = map(
+                add, grown[i : i + len(r)], r if d == 1 else map(mul, r, repeat(d))
+            )
+        ok = fits(cols[left])
+        a, b = ok.find(1, lo, hi), ok.rfind(1, lo, hi) + 1  # the band that can complete
+        row = list(map(mul, grown[a - lo : b - lo], ok[a:b])) if a >= 0 else []
+        rows.append((a + 1, row))
+        counts.append(count + sum(row))
     return PrefixCountTable(n_symbols=n_symbols, total_bits=total_bits, counts=tuple(counts))
 
 
 def fit_dimension(
     table: PrefixCountTable, n_lo: int | None = None, n_hi: int | None = None
 ) -> float:
-    """Least-squares slope of log2(count) against prefix length.
+    """Least-squares slope of log2(count) against prefix length, correctly
+    rounded from the float64 log2 of each count.
 
     Defaults: n_lo = ceil(0.2 * total_bits) to skip the transient where
     every bit string is still a viable prefix, n_hi = the table end.  When
@@ -255,11 +288,14 @@ def fit_dimension(
         return math.nan
     if not 0 <= n_lo < n_hi <= table.n_max:
         raise ValueError(f"bad fit range [{n_lo}, {n_hi}] for table up to {table.n_max}")
-    import numpy as np
-
-    xs = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    ys = table.log2_counts()[n_lo : n_hi + 1]
-    return float(np.polyfit(xs, ys, 1)[0])
+    # each log2 is p / q with q a power of two: over the largest q they are
+    # integers, so the sums are exact and the slope is rounded once, by the
+    # int division.  us holds 2 * (n - mean n), which sums to zero.
+    ratios = [math.log2(c).as_integer_ratio() for c in table.counts[n_lo : n_hi + 1]]
+    q = max(den for _, den in ratios)
+    ys = [num * (q // den) for num, den in ratios]
+    us = range(n_lo - n_hi, n_hi - n_lo + 1, 2)
+    return 2 * sum(map(mul, us, ys)) / (sum(u * u for u in us) * q)
 
 
 def dimension_curve(

@@ -8,9 +8,9 @@ exactly (arbitrary-precision integers), in the log2 domain (float64 in an
 array('d'), with only a few big integers alive at a time), and by literal
 enumeration (the oracle the other two are checked against), and derives
 entropy and discrete temperature from it.  Counting, entropy and temperature
-run on the standard library.  numpy is imported inside the functions that
-build arrays: the iter_log_tables sweep, the float most probable length, the
-sampler and the ndarray views of a table.
+run on the standard library, the most probable length of either table
+too.  numpy is imported inside the functions that build arrays: the
+iter_log_tables sweep, the sampler and the ndarray views of a table.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
 entropy (dimensionless).
@@ -240,7 +240,8 @@ def count_messages_brute(
     """Message counts by enumerating every one of the |alphabet|**n messages.
 
     Exponentially slow by construction; this is the independent oracle the
-    exact and log tables are validated against.
+    exact and log tables are validated against.  A one-word code has one
+    message at every N, answered without building it.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -252,6 +253,8 @@ def count_messages_brute(
             f"{k}**{n_symbols} messages exceed the enumeration cap {max_messages}"
         )
     lengths = [len(code.codeword(s)) for s in code.symbols]
+    if k == 1:  # one message, of N copies of the one word
+        return EnsembleTable(n_symbols, n_symbols * lengths[0], [1])
     tally = Counter(map(sum, product(lengths, repeat=n_symbols)))
     lo = min(tally)
     return EnsembleTable(n_symbols, lo, [tally[total] for total in range(lo, max(tally) + 1)])
@@ -399,7 +402,7 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     On an EnsembleTable the weights are compared exactly as integers over
     the common denominator 2**last, last the largest achievable length:
     count(L) << (last - L).  On a LogEnsembleTable they are compared as
-    floats (argmax of log2 count - L).
+    floats: the first maximum of log2 count - L.
     """
     if isinstance(table, EnsembleTable):
         support = table._achievable()
@@ -407,13 +410,12 @@ def most_probable_length(table: LogEnsembleTable) -> int:
             raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
         last = support[-1]
         return max(table.items(), key=lambda item: item[1] << (last - item[0]))[0]
-    import numpy as np
-
-    arr = table.log2_array()
-    if len(arr):
-        i = int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
-        if math.isfinite(arr[i]):  # else every cell is -inf
-            return int(table.offset + i)
+    log2, offset = table._log2, table._offset
+    if log2:
+        # np.argmax's rule: the first maximum of log2 count - L
+        i = max(range(len(log2)), key=lambda j: log2[j] - (offset + j))
+        if math.isfinite(log2[i]):  # else every cell is -inf
+            return offset + i
     raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
 
 

@@ -2,11 +2,13 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermocode import (
     CapacityError,
@@ -27,7 +29,7 @@ from thermocode import (
     unit_temperature_derivatives,
 )
 from thermocode import dimension
-from strategies import exact_stats, kraft_spectra
+from strategies import exact_stats, kraft_spectra, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -195,6 +197,37 @@ def test_prefix_counts_match_enumeration_random():
     assert max(depths) > 3
 
 
+# enumerating the oracle's messages stays cheap up to this many
+BRUTE_MESSAGES = 2000
+
+
+@st.composite
+def prefix_cases(draw):
+    """(code, N, L, n_max): a whole code, N with at most BRUTE_MESSAGES
+    messages, an achievable L and, half the time, a cut n_max."""
+    code = draw(whole_codes())
+    n = draw(st.integers(1, 6))
+    while len(code) ** n > BRUTE_MESSAGES:
+        n -= 1
+    total = draw(st.sampled_from([L for L, _ in count_messages(code.spectrum(), n).items()]))
+    return code, n, total, draw(st.none() | st.integers(0, total))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=prefix_cases())
+@example(case=(Code({"a": "0", "b": "10"}), 5, 7, None))  # incomplete
+@example(case=(Code({"a": "00", "b": "01", "c": "10", "d": "110", "e": "111"}), 3, 7, None))  # d_min = 3
+@example(case=(Code({"a": "0", "b": "111"}), 6, 12, None))  # lattice step 2
+@example(case=(CANON, 5, 8, 4))  # cut by n_max
+@example(case=(Code({"a": "01"}), 4, 8, None))  # one word
+def test_prefix_counts_match_enumeration_on_whole_codes(case):
+    code, n, total, n_max = case
+    got = prefix_counts(code, n, total, n_max=n_max)
+    want = brute_prefix_counts(code, n, total)
+    assert list(got.counts) == want[: got.n_max + 1]
+    assert got.n_max == (total if n_max is None else n_max)
+
+
 def test_prefix_counts_growth_invariants():
     # each extra bit at most doubles the cell count and never shrinks it
     table = prefix_counts(CANON, 12, 18)
@@ -286,6 +319,58 @@ def test_fit_dimension_default_window_too_short_is_nan():
     assert fit_dimension(table, n_lo=0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_dimension(table, n_lo=2)
+
+
+def fraction_slope(table: PrefixCountTable, n_lo: int, n_hi: int) -> float:
+    """Oracle: the least-squares slope over the exact rationals of the
+    float64 log2 counts, rounded once."""
+    xs = range(n_lo, n_hi + 1)
+    ys = [Fraction(math.log2(c)) for c in table.counts[n_lo : n_hi + 1]]
+    mx, my = Fraction(sum(xs), len(xs)), sum(ys) / len(ys)
+    return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 2**300), min_size=2, max_size=60),
+    bounds=st.tuples(st.integers(0, 59), st.integers(0, 59)),
+)
+@example(counts=[1, 2], bounds=(0, 1))
+@example(counts=[5] * 40, bounds=(0, 39))  # slope 0
+@example(counts=[2**300, 3, 2**299, 1], bounds=(0, 3))
+def test_fit_dimension_is_the_correctly_rounded_slope(counts, bounds):
+    table = PrefixCountTable(1, len(counts) - 1, tuple(counts))
+    n_lo, n_hi = sorted(min(b, table.n_max) for b in bounds)
+    if n_lo == n_hi:
+        n_lo, n_hi = 0, table.n_max
+    assert fit_dimension(table, n_lo, n_hi) == fraction_slope(table, n_lo, n_hi)
+
+
+def test_fit_dimension_is_polyfit_within_eight_ulps():
+    # np.polyfit rounds along the way: the default windows of these tables
+    # put it at most a few ulps from the correctly rounded slope
+    worst = 0.0
+    for seed in range(60):
+        code = random_complete_code(2 + seed % 20, seed)
+        n = 4 + seed % 25
+        support = [L for L, _ in count_messages(code.spectrum(), n).items()]
+        table = prefix_counts(code, n, support[(seed * 7) % len(support)])
+        slope = fit_dimension(table)
+        if math.isnan(slope):
+            continue
+        n_lo = math.ceil(0.2 * table.total_bits)
+        assert slope == fraction_slope(table, n_lo, table.n_max)
+        xs = np.arange(n_lo, table.n_max + 1, dtype=np.float64)
+        want = np.polyfit(xs, table.log2_counts()[n_lo:], 1)[0]
+        worst = max(worst, abs(slope - want) / math.ulp(slope))
+    assert worst <= 8
+
+
+def test_log2_counts_is_an_ndarray_of_math_log2():
+    table = prefix_counts(CANON, 12, 17)
+    got = table.log2_counts()
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.tolist() == [math.log2(c) for c in table.counts]
 
 
 def test_fitted_slope_tracks_dimension_moderate_size():

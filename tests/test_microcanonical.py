@@ -134,6 +134,20 @@ def test_brute_guard_refuses_a_long_message_at_once():
     assert count_messages_brute(Code({"a": "01"}), 1000).to_dict() == {2000: 1}
 
 
+def test_brute_counts_a_one_word_code_without_enumerating():
+    # a one-word code has one message; enumerating it would hold an N-tuple,
+    # about 24 GB at N = 10**9
+    start = time.process_time()
+    assert count_messages_brute(Code({"a": "101"}), 10**9).to_dict() == {3 * 10**9: 1}
+    assert time.process_time() - start < 1.0
+    for n in range(1, 8):
+        want = count_messages(LengthSpectrum({3: 1}), n)
+        got = count_messages_brute(Code({"a": "101"}), n)
+        assert (got.offset, got.to_dict()) == (want.offset, want.to_dict())
+    with pytest.raises(CapacityError):
+        count_messages_brute(Code({"a": "0"}), 5, max_messages=0)
+
+
 @pytest.mark.parametrize("build", [count_messages, count_messages_log])
 def test_table_readers_take_a_whole_number_float(build):
     # at N = 3 the canonical code has 12 messages of 5 bits and none of 5.5
@@ -638,6 +652,32 @@ def test_most_probable_length_matches_fraction_oracle():
 def test_most_probable_length_matches_fraction_oracle_on_kraft_spectra(spectrum, n):
     table = count_messages(spectrum, n)
     assert most_probable_length(table) == brute_most_probable(table)
+
+
+def numpy_most_probable(table: LogEnsembleTable) -> int:
+    arr = table.log2_array()
+    return table.offset + int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spectrum=kraft_spectra(), n=st.integers(1, 30))
+@example(spectrum=CANON_SP, n=3)  # 4 and 5 bits tie exactly
+@example(spectrum=LengthSpectrum({1: 1, 3: 1}), n=9)  # lattice step 2
+@example(spectrum=LengthSpectrum({2: 3, 3: 2}), n=25)  # d_min > 1
+@example(spectrum=LengthSpectrum({3: 8}), n=7)  # one length
+def test_float_most_probable_length_is_numpys_argmax(spectrum, n):
+    # the same IEEE subtraction and the same first-maximum rule, on tables
+    # holding exact log2 counts and on the sweep's rounded ones
+    for table in (count_messages_log(spectrum, n), list(iter_log_tables(spectrum, n))[-1]):
+        assert most_probable_length(table) == numpy_most_probable(table)
+
+
+def test_float_most_probable_length_ties_go_low():
+    # log2 count - L is -2 at every cell, so the first one wins
+    table = LogEnsembleTable(2, 3, [1.0, 2.0, 3.0])
+    assert most_probable_length(table) == numpy_most_probable(table) == 3
+    table = LogEnsembleTable(2, 3, [-math.inf, 2.0, 3.0, -math.inf])
+    assert most_probable_length(table) == numpy_most_probable(table) == 4
 
 
 def test_most_probable_length_log_agrees_with_exact():

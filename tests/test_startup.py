@@ -280,8 +280,8 @@ def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):
 
 
 def test_canonical_commands_never_load_numpy(tmp_path):
-    # gibbs, solve-temp, continuous equilibrium and dimension run on the
-    # standard library alone
+    # gibbs, solve-temp, continuous equilibrium, dimension and the prefix
+    # counts with their fitted slope run on the standard library alone
     doc = str(tmp_path / "g16.json")
     c = ["--code", doc]
     argvs = [
@@ -293,6 +293,8 @@ def test_canonical_commands_never_load_numpy(tmp_path):
         ["equilibrium", *c, "--code2", doc, "-N", "10", "--N2", "10", "-L", "90"],
         ["dimension", *c],
         ["dimension", *c, "--grid=-2:2:5"],
+        ["prefixes", *c, "-N", "4", "-L", "16"],
+        ["prefixes", *c, "-N", "10", "-L", "45", "--n-max", "20"],
     ]
     got = probe(_run_cli(argvs))
     assert got["rcs"] == [0] * len(argvs)
@@ -301,7 +303,8 @@ def test_canonical_commands_never_load_numpy(tmp_path):
 
 def test_count_table_commands_never_load_numpy(tmp_path):
     # exact and log count tables, their entropies and temperatures, the
-    # windowed sums and the brute split run on the standard library alone
+    # most probable length of either, the windowed sums and the brute split
+    # run on the standard library alone
     doc = str(tmp_path / "g16.json")
     c = ["--code", doc]
     argvs = [
@@ -313,6 +316,7 @@ def test_count_table_commands_never_load_numpy(tmp_path):
         ["temperature", *c, "-N", "20"],
         ["temperature", *c, "-N", "20", "-L", "90"],
         ["temperature", *c, "-N", "20", "--mode", "log", "-L", "90"],
+        ["temperature", *c, "-N", "20", "--mode", "log"],
         ["equilibrium", *c, "--code2", doc, "-N", "10", "--N2", "10", "-L", "90", "--brute"],
     ]
     got = probe(_run_cli(argvs))

@@ -11,8 +11,9 @@ beta = 1 the dyadic point T = 1.
 
 Exit codes: 0 success, 1 invalid input (bad document, prefix violation,
 usage), 2 infeasible parameter (outside the achievable or feasible range),
-3 capacity guard (an exact count table, a prefix table or a --grid too
-large; for a count table, retry with --mode log).
+3 capacity guard (an exact count table for omega or equilibrium --brute, a
+prefix table, a --grid or a sampled message too large; for omega, retry
+with --mode log).
 """
 
 from __future__ import annotations
@@ -136,13 +137,6 @@ def _cmd_check(args):
     return rows, ()
 
 
-def _count_table(args):
-    """The message-count table of --code at -N, exact or log2 per --mode."""
-    code, _ = _load_code(args.code)
-    build = _self.count_messages if args.mode == "exact" else _self.count_messages_log
-    return build(code.spectrum(), args.n_symbols)
-
-
 # numpy's NPY_LOG2E, 1/ln 2 rounded to a double
 _LOG2E = 1.442695040888963407359924681001892137
 
@@ -185,8 +179,10 @@ def _windowed(support: Sequence[int], values: list, window: float, exact: bool) 
 def _cmd_omega(args):
     if not args.window >= 0:
         raise CodeError(f"--window must be a non-negative number of bits, got {args.window}")
-    table = _count_table(args)
+    code, _ = _load_code(args.code)
     exact = args.mode == "exact"
+    build = _self.count_messages if exact else _self.count_messages_log
+    table = build(code.spectrum(), args.n_symbols)
     support = table._achievable()
     values = [table.count(L) if exact else table.log2_count(L) for L in support]
     if args.window:
@@ -203,7 +199,10 @@ def _cmd_omega(args):
 
 
 def _cmd_temperature(args):
-    table = _count_table(args)
+    # S and T read only log2 counts, and the log table keeps the exact L*,
+    # so --mode exact and --mode log run this one path
+    code, _ = _load_code(args.code)
+    table = _self.count_messages_log(code.spectrum(), args.n_symbols)
     star = args.total_bits is None
     total = _self.most_probable_length(table) if star else _int_total(args.total_bits)
     est = _self.temperature_at(table, total)
@@ -388,13 +387,8 @@ def _add_out(p):
     p.add_argument("--out", metavar="FILE", help="write primary output here instead of stdout")
 
 
-def _add_mode(p):
-    p.add_argument(
-        "--mode",
-        choices=("exact", "log"),
-        default="exact",
-        help="exact integer table or log2-domain table (default exact)",
-    )
+def _add_mode(p, help="exact integer table or log2-domain table (default exact)"):
+    p.add_argument("--mode", choices=("exact", "log"), default="exact", help=help)
 
 
 def build_parser() -> _Parser:
@@ -418,7 +412,7 @@ def build_parser() -> _Parser:
     _add_code(p)
     p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
     p.add_argument("-L", dest="total_bits", type=float, help="total coded length in bits")
-    _add_mode(p)
+    _add_mode(p, "exact or log: both give the same answer, from the log2 table and its exact L*")
     _add_out(p)
     p.set_defaults(func=_cmd_temperature)
 

@@ -8,8 +8,9 @@ exactly (arbitrary-precision integers), in the log2 domain (float64 in an
 array('d'), with only a few big integers alive at a time), and by literal
 enumeration (the oracle the other two are checked against), and derives
 entropy and discrete temperature from it.  Counting, entropy and temperature
-run on the standard library, the most probable length of either table
-too.  numpy is imported inside the functions that build arrays: the
+run on the standard library, and so does the most probable length: a
+table built from exact counts keeps the one found exactly as the counts
+went by.  numpy is imported inside the functions that build arrays: the
 iter_log_tables sweep, the sampler and the ndarray views of a table.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
@@ -57,7 +58,8 @@ MAX_BRUTE_MESSAGES = 10_000_000
 
 # The sampler draws at most this many symbols per chunk; a chunk's int64
 # matrices take 8 MB each.  rng.choice's stream does not depend on the chunk
-# size, so neither does the report.
+# size, so neither does the report.  A longer message, which would not fit
+# in one chunk, is refused.
 _SAMPLE_CHUNK_CELLS = 1_000_000
 
 
@@ -68,9 +70,22 @@ def _index(table: LogEnsembleTable, total_bits: int) -> int:
     return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
 
 
-def _log2_counts(counts: Iterable[int]) -> array:
-    """math.log2 of each exact count as float64, -inf for 0."""
-    return array("d", (math.log2(c) if c else -math.inf for c in counts))
+def _log2_counts(counts: Iterable[int]) -> tuple[array, int | None]:
+    """math.log2 of each exact count as float64, -inf for 0, and the index
+    of the first count maximizing count * 2**-index (None if every count is
+    0).  A count's bit length minus its index orders the weights but for
+    near-ties, which compare exactly: c > best << (i - peak)."""
+    log2 = array("d")
+    peak, best, key = None, 0, -math.inf
+    for i, c in enumerate(counts):
+        if not c:
+            log2.append(-math.inf)
+            continue
+        log2.append(math.log2(c))
+        k = c.bit_length() - i
+        if k > key or (k == key and c > best << (i - peak)):
+            peak, best, key = i, c, k
+    return log2, peak
 
 
 class LogEnsembleTable:
@@ -81,12 +96,18 @@ class LogEnsembleTable:
     for bit; iter_log_tables' tables agree within its stated bound.  An
     EnsembleTable is this table plus its integers.
 
+    A table built from exact counts (count_messages_log, or any
+    EnsembleTable) also keeps the index of its most probable length, found
+    exactly while the counts went by; a table built from floats (by
+    iter_log_tables, or from log2 values given here) keeps None, and
+    most_probable_length ranks its floats instead.
+
     The counts live in an array('d') and the support, built on first use,
     in an array('q'); support and log2_array() are ndarray views of them,
     sharing their memory.
     """
 
-    __slots__ = ("n_symbols", "_offset", "_log2", "_support")
+    __slots__ = ("n_symbols", "_offset", "_log2", "_support", "_peak")
 
     def __init__(self, n_symbols: int, offset: int, log2_counts: Iterable[float]):
         self.n_symbols = n_symbols
@@ -95,6 +116,7 @@ class LogEnsembleTable:
             log2_counts = array("d", log2_counts)
         self._log2 = log2_counts
         self._support: array | None = None
+        self._peak: int | None = None
 
     def _achievable(self) -> array:
         """Achievable total lengths, ascending, as an array('q')."""
@@ -146,7 +168,9 @@ class EnsembleTable(LogEnsembleTable):
     __slots__ = ("_coeffs",)
 
     def __init__(self, n_symbols: int, offset: int, coeffs: list[int]):
-        super().__init__(n_symbols, offset, _log2_counts(coeffs))
+        log2, peak = _log2_counts(coeffs)
+        super().__init__(n_symbols, offset, log2)
+        self._peak = peak
         self._coeffs = coeffs
 
     def count(self, total_bits: int) -> int:
@@ -265,12 +289,16 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
 
     Runs the recurrence of count_messages but holds only span + 1 big
     integers at a time, so memory stays flat and there is no size cap; the
-    time still grows as N**2 * span * #lengths.
+    time still grows as N**2 * span * #lengths.  The table keeps the most
+    probable length found exactly from the counts as they passed, so
+    most_probable_length gives count_messages' answer.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    log2_counts = _log2_counts(_miller(spectrum, n_symbols))
-    return LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
+    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols))
+    table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
+    table._peak = peak
+    return table
 
 
 def iter_log_tables(
@@ -399,24 +427,19 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     """Total length maximizing count(L) * 2**-L, the weight of length L
     under an absolutely optimal code.  Ties go to the smallest length.
 
-    On an EnsembleTable the weights are compared exactly as integers over
-    the common denominator 2**last, last the largest achievable length:
-    count(L) << (last - L).  On a LogEnsembleTable they are compared as
-    floats: the first maximum of log2 count - L.
+    A table built from exact counts (count_messages, count_messages_log,
+    count_messages_brute or an EnsembleTable of given counts) answers with
+    the length its build found comparing the weights exactly as integers.
+    A table built from floats (iter_log_tables, or a LogEnsembleTable of
+    given log2 values) compares them as floats: the first maximum of
+    log2 count - L, np.argmax's rule.
     """
-    if isinstance(table, EnsembleTable):
-        support = table._achievable()
-        if not support:
-            raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
-        last = support[-1]
-        return max(table.items(), key=lambda item: item[1] << (last - item[0]))[0]
-    log2, offset = table._log2, table._offset
-    if log2:
-        # np.argmax's rule: the first maximum of log2 count - L
+    log2, offset, i = table._log2, table._offset, table._peak
+    if i is None and log2:
         i = max(range(len(log2)), key=lambda j: log2[j] - (offset + j))
-        if math.isfinite(log2[i]):  # else every cell is -inf
-            return offset + i
-    raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
+    if i is None or not math.isfinite(log2[i]):  # no cell, or every cell is -inf
+        raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
+    return offset + i
 
 
 @dataclass(frozen=True)
@@ -453,12 +476,17 @@ def sample_messages(
     Deterministic in the seed (numpy PCG64 via default_rng).  With
     focus_total set, every sampled message whose coded length hits that
     value is recorded verbatim, giving the conditional distribution over
-    coded messages at fixed total length.
+    coded messages at fixed total length.  A message of more than
+    _SAMPLE_CHUNK_CELLS symbols raises CapacityError.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    if n_symbols > _SAMPLE_CHUNK_CELLS:
+        raise CapacityError(
+            f"a message of {n_symbols} symbols exceeds the sampler's cap {_SAMPLE_CHUNK_CELLS}"
+        )
     _check_alphabet(code, pmf)
     import numpy as np
 
@@ -470,7 +498,7 @@ def sample_messages(
 
     hist: Counter[int] = Counter()
     conditional: Counter[str] | None = Counter() if focus_total is not None else None
-    chunk = max(1, min(draws, _SAMPLE_CHUNK_CELLS // n_symbols))
+    chunk = min(draws, _SAMPLE_CHUNK_CELLS // n_symbols)
     done = 0
     while done < draws:
         m = min(chunk, draws - done)

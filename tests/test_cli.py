@@ -208,6 +208,19 @@ def test_temperature_summary_mode(capsys, canon_path):
     assert float(got["T_at_L_star"]) == pytest.approx(2.0 / math.log2(12), abs=1e-12)
 
 
+def test_exact_temperature_passes_no_capacity_guard(capsys, canon_path, monkeypatch):
+    # temperature reads the log table and its exact L*, so a guard that
+    # refuses every exact table refuses omega but not temperature
+    from thermocode import microcanonical
+
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 0)
+    assert run(capsys, "omega", "--code", canon_path, "-N", "3")[0] == 3
+    for L in ([], ["-L", "5"]):
+        exact = run(capsys, "temperature", "--code", canon_path, "-N", "3", *L)
+        log = run(capsys, "temperature", "--code", canon_path, "-N", "3", "--mode", "log", *L)
+        assert exact == log and exact[0] == 0
+
+
 def test_temperature_unachievable_exit_two(capsys, canon_path):
     rc, _, err = run(capsys, "temperature", "--code", canon_path, "-N", "2", "-L", "9")
     assert rc == 2
@@ -615,6 +628,13 @@ def test_sample_reports_histogram(capsys, canon_path):
     assert notes["draws"] == "3000"
     assert float(notes["mean_per_symbol"]) == pytest.approx(1.5, abs=0.05)
     assert int(notes["distinct_messages"]) <= 24
+
+
+def test_sample_longer_than_a_chunk_exit_three(capsys, canon_path):
+    rc, out, err = run(capsys, "sample", "--code", canon_path, "-N", "1000001", "--draws", "1", "--seed", "1")
+    assert rc == 3
+    assert out == ""
+    assert "1000001 symbols" in err
 
 
 def test_sample_deterministic(capsys, canon_path):

@@ -178,6 +178,15 @@ def test_log_omega_is_exact_omega_without_counts(case):
     assert log["stdout"] == _blank_omega(exact["stdout"])
 
 
+@pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("temperature-") and "-exact" in c))
+def test_temperature_modes_print_the_same_bytes(case):
+    """Both --mode values read the log table and its exact most probable
+    length, so they print the same bytes, with -L and without."""
+    cases = _golden()["cases"]
+    exact, log = cases[case], cases[case.replace("-exact", "-log")]
+    assert {k: exact[k] for k in ("rc", "stdout", "stderr")} == {k: log[k] for k in ("rc", "stdout", "stderr")}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)

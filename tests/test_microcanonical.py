@@ -34,7 +34,7 @@ from thermocode import (
 )
 from thermocode import microcanonical
 from thermocode.microcanonical import _temperatures
-from strategies import kraft_spectra, whole_codes
+from strategies import canonical_code, kraft_spectra, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -582,8 +582,8 @@ def test_table_without_an_achievable_length_is_refused():
 
 @pytest.mark.parametrize("kind", [EnsembleTable, LogEnsembleTable])
 def test_most_probable_length_of_a_table_of_no_cells_is_refused(kind):
-    # zero cells, not only zero counts: the float branch must not reach
-    # numpy's argmax of an empty array
+    # zero cells, not only zero counts: the float rule must not take the
+    # max of an empty range
     with pytest.raises(UnachievableLengthError, match="support is empty"):
         most_probable_length(kind(2, 0, []))
 
@@ -645,13 +645,59 @@ def test_most_probable_length_matches_fraction_oracle():
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(spectrum=kraft_spectra(), n=st.integers(1, 30))
 @example(spectrum=CANON_SP, n=3)  # a tie: 4 and 5 bits weigh 3/8 each
+# canon at odd N: C(N, k) * 2**-N ties at k = (N - 1)/2 and (N + 1)/2
+@example(spectrum=CANON_SP, n=9)
+@example(spectrum=CANON_SP, n=29)
 @example(spectrum=LengthSpectrum({1: 1, 3: 1}), n=9)  # a tie at the top, lattice step 2
 @example(spectrum=LengthSpectrum({2: 3, 3: 2}), n=25)  # d_min > 1
 @example(spectrum=LengthSpectrum({3: 8}), n=7)  # one length
 @example(spectrum=random_complete_code(16, 5).spectrum(), n=25)
 def test_most_probable_length_matches_fraction_oracle_on_kraft_spectra(spectrum, n):
+    # every table built from exact counts keeps the exact most probable
+    # length: the integer table, the log table and, where it can be
+    # enumerated, the brute-force table
     table = count_messages(spectrum, n)
+    want = brute_most_probable(table)
+    assert most_probable_length(table) == want
+    assert most_probable_length(count_messages_log(spectrum, n)) == want
+    if spectrum.n_codewords**n <= 20_000:
+        assert most_probable_length(count_messages_brute(canonical_code(spectrum), n)) == want
+
+
+@st.composite
+def near_tie_counts(draw):
+    """Counts base << i plus a small offset, some of them 0: the weights
+    count * 2**-i tie or nearly tie, past what a float log2 tells apart."""
+    base = draw(st.integers(1, 2**70))
+    deltas = draw(st.lists(st.none() | st.integers(-3, 3), min_size=1, max_size=12))
+    return [0 if d is None else max(0, (base << i) + d) for i, d in enumerate(deltas)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    offset=st.integers(0, 20),
+    counts=near_tie_counts() | st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+)
+@example(offset=0, counts=[2**60, 2**61 + 1])  # log2 ties; the second weighs 2**-1 more
+@example(offset=3, counts=[0, 6, 12, 0])  # an exact tie past a 0 cell: the first wins
+@example(offset=0, counts=[0, 0])  # no achievable length
+def test_most_probable_length_of_given_counts_is_exact(offset, counts):
+    table = EnsembleTable(2, offset, counts)
+    if not any(counts):
+        with pytest.raises(UnachievableLengthError, match="support is empty"):
+            most_probable_length(table)
+        return
     assert most_probable_length(table) == brute_most_probable(table)
+
+
+def test_float_table_keeps_the_float_rule():
+    # 2**61 + 1 rounds to log2 61.0 exactly, so the floats see a tie the
+    # integers break: the integer table picks the second length, and a
+    # table of its log2 values the first
+    exact = EnsembleTable(2, 10, [2**60, 2**61 + 1])
+    assert most_probable_length(exact) == 11
+    floats = LogEnsembleTable(2, 10, exact.log2_array())
+    assert most_probable_length(floats) == numpy_most_probable(floats) == 10
 
 
 def numpy_most_probable(table: LogEnsembleTable) -> int:
@@ -666,10 +712,10 @@ def numpy_most_probable(table: LogEnsembleTable) -> int:
 @example(spectrum=LengthSpectrum({2: 3, 3: 2}), n=25)  # d_min > 1
 @example(spectrum=LengthSpectrum({3: 8}), n=7)  # one length
 def test_float_most_probable_length_is_numpys_argmax(spectrum, n):
-    # the same IEEE subtraction and the same first-maximum rule, on tables
-    # holding exact log2 counts and on the sweep's rounded ones
-    for table in (count_messages_log(spectrum, n), list(iter_log_tables(spectrum, n))[-1]):
-        assert most_probable_length(table) == numpy_most_probable(table)
+    # the same IEEE subtraction and the same first-maximum rule, on the
+    # sweep's rounded log2 counts: a table built from floats
+    table = list(iter_log_tables(spectrum, n))[-1]
+    assert most_probable_length(table) == numpy_most_probable(table)
 
 
 def test_float_most_probable_length_ties_go_low():
@@ -681,12 +727,11 @@ def test_float_most_probable_length_ties_go_low():
 
 
 def test_most_probable_length_log_agrees_with_exact():
+    # the log table keeps the L* its exact counts gave as they went by
     for seed in (2, 9, 27):
         sp = random_complete_code(3 + seed % 9, seed).spectrum()
         exact = most_probable_length(count_messages(sp, 40))
-        approx = most_probable_length(count_messages_log(sp, 40))
-        # float ranking may land on an exact-tie partner one lattice step off
-        assert abs(exact - approx) <= max(1, sp.lattice_step)
+        assert most_probable_length(count_messages_log(sp, 40)) == exact
 
 
 def test_count_concentration_canonical():
@@ -824,3 +869,13 @@ def test_sampling_validates_inputs():
     other = Code({"x": "0", "y": "1"})
     with pytest.raises(ValueError):
         sample_messages(other, pmf, 2, 10, seed=1)
+
+
+def test_sampling_refuses_a_message_longer_than_a_chunk(monkeypatch):
+    # a message must fit in one chunk of draws, or memory has no bound
+    monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", 10)
+    pmf = dyadic_pmf(CANON)
+    with pytest.raises(CapacityError, match="11 symbols"):
+        sample_messages(CANON, pmf, 11, 5, seed=1)
+    report = sample_messages(CANON, pmf, 10, 5, seed=1)  # one message per chunk
+    assert sum(report.histogram.values()) == 5

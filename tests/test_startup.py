@@ -324,6 +324,23 @@ def test_count_table_commands_never_load_numpy(tmp_path):
     assert got["loaded"] == []
 
 
+def test_oversized_sample_is_refused_before_numpy_loads(tmp_path):
+    # a message longer than one chunk of draws exits 3 with nothing on
+    # stdout, before the sampler imports numpy
+    doc = str(tmp_path / "g16.json")
+    argvs = [
+        ["gen", "--leaves", "16", "--seed", "1", "--out", doc],
+        ["sample", "--code", doc, "-N", "1000001", "--draws", "1", "--seed", "1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _run_cli(argvs)], env=_env(), capture_output=True, text=True, check=True
+    )
+    *printed, last = proc.stdout.splitlines()
+    assert printed == []
+    assert json.loads(last) == {"rcs": [0, 3], "loaded": []}
+    assert "1000001 symbols" in proc.stderr
+
+
 def test_import_leaves_sys_modules_without_numpy():
     # importing thermocode registers no numpy stand-in, so a library that
     # checks sys.modules for numpy (pytest.approx does) does not load it

@@ -19,14 +19,12 @@ with --mode log).
 from __future__ import annotations
 
 import argparse
-import bisect
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from functools import reduce
-from itertools import chain, starmap
+from itertools import chain, islice, starmap, tee
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -137,64 +135,62 @@ def _cmd_check(args):
     return rows, ()
 
 
-# numpy's NPY_LOG2E, 1/ln 2 rounded to a double
-_LOG2E = 1.442695040888963407359924681001892137
+def _window_sums(lead: Iterator[int], trail: Iterator[int], window: float) -> Iterator[tuple[int, int]]:
+    """(j, exact sum of cells j..j+w) at each nonzero cell j, w = int(window).
 
-
-def _logaddexp2(x: float, y: float) -> float:
-    """log2(2**x + 2**y) by the operations of numpy's npy_logaddexp2, so
-    bit for bit np.logaddexp2(x, y).  2.0 ** is libm's pow where numpy
-    calls exp2; Python 3.10 has no math.exp2."""
-    if x == y:
-        return x + 1  # also -inf with -inf, without a nan difference
-    d = x - y
-    if d > 0:
-        return x + _LOG2E * math.log1p(2.0**-d)
-    if d <= 0:
-        return y + _LOG2E * math.log1p(2.0**d)
-    return d  # a nan operand
-
-
-def _windowed(support: Sequence[int], values: list, window: float, exact: bool) -> list:
-    """The values aggregated over [L, L+window] at each support point.
-
-    Exact counts keep one running sum, each cell added as it enters the
-    window and subtracted as it leaves, so the big-integer work is linear in
-    the support.  log2 counts fold _logaddexp2 over each window afresh, left
-    to right from -inf, as np.logaddexp2.reduce does from its identity: a
-    log-domain difference of sums would cancel.
+    lead and trail are two passes over the same dense cells.  A prefix sum
+    runs over each, lead's w + 1 cells ahead of trail's (all of it ahead
+    for a window of inf or larger), and each window sum is their
+    difference.  So only the running sums are kept, never a list of the
+    cells, and the big-integer work is linear in the cells.
     """
-    ends = [bisect.bisect_right(support, L + window) for L in support]
-    if not exact:
-        return [reduce(_logaddexp2, values[i:end], -math.inf) for i, end in enumerate(ends)]
-    sums, total, start = [], 0, 0
-    for i, end in enumerate(ends):
-        total += sum(values[start:end])
-        start = end
-        sums.append(total)
-        total -= values[i]
-    return sums
+    ahead = sum(islice(lead, int(window) if window < sys.maxsize else None))
+    behind = 0
+    for j, c in enumerate(trail):
+        ahead += next(lead, 0)  # the sum of cells 0..j+w
+        if c:
+            yield j, ahead - behind
+        behind += c
 
 
 def _cmd_omega(args):
     if not args.window >= 0:
         raise CodeError(f"--window must be a non-negative number of bits, got {args.window}")
     code, _ = _load_code(args.code)
+    spectrum, n = code.spectrum(), args.n_symbols
     exact = args.mode == "exact"
-    build = _self.count_messages if exact else _self.count_messages_log
-    table = build(code.spectrum(), args.n_symbols)
-    support = table._achievable()
-    values = [table.count(L) if exact else table.log2_count(L) for L in support]
+    if exact:
+        table = _self.count_messages(spectrum, n)
+        passes = iter(table._coeffs), iter(table._coeffs)
+    elif args.window:  # no table: each window sum's log2 is taken as it passes
+        from .microcanonical import _miller
+
+        if n < 1:  # what the table builders refuse
+            raise ValueError("n_symbols must be at least 1")
+        # tee holds the w + 1 counts between the passes, of at most
+        # N*log2(n_codewords) bits each: while they weigh no more than the 64
+        # bits per cell of an unwindowed log table, one recurrence feeds both
+        # passes; past that each pass reruns it, so memory stays flat.
+        span = spectrum.l_max - spectrum.l_min
+        if (args.window + 1) * math.log2(spectrum.n_codewords) <= 64 * span:
+            passes = tee(_miller(spectrum, n))
+        else:
+            passes = _miller(spectrum, n), _miller(spectrum, n)
+    else:
+        table = _self.count_messages_log(spectrum, n)
     if args.window:
-        values = _windowed(support, values, args.window, exact)
-    entropies = [math.log2(c) for c in values] if exact else values
+        offset, support, omegas, entropies = n * spectrum.l_min, [], [], []
+        for j, total in _window_sums(*passes, args.window):
+            support.append(offset + j)
+            omegas.append(total if exact else "")
+            entropies.append(math.log2(total))
+    else:  # the table's log2 array already holds math.log2 of each count
+        support = table._achievable()
+        omegas = [c for c in table._coeffs if c] if exact else [""] * len(support)
+        entropies = list(filter(math.isfinite, table._log2))
     from .microcanonical import _temperatures
 
-    temperatures = _temperatures(support, entropies)
-    rows = (
-        (L, value if exact else "", s, s, t)
-        for L, value, s, t in zip(support, values, entropies, temperatures)
-    )
+    rows = zip(support, omegas, entropies, entropies, _temperatures(support, entropies))
     return _csv("L,omega,log2_omega,S,T", rows), ()
 
 
@@ -264,11 +260,10 @@ def _cmd_equilibrium(args):
     if args.brute:
         total = _int_total(args.total_bits)
         rows = _self.allocation_table(system, total)
-        if not rows:
-            raise UnachievableLengthError(f"no achievable split of {total} bits")
         from .equilibrium import _best_split
 
-        return _csv("L_I,L_II,omega_I,omega_II,product", rows), [("L_I_star", _best_split(rows))]
+        best = _best_split(rows, total)
+        return _csv("L_I,L_II,omega_I,omega_II,product", rows), [("L_I_star", best)]
     allocation = _self.solve_equilibrium(system, args.total_bits)
     row = (
         allocation.beta_star,

@@ -137,9 +137,12 @@ def allocation_table(
     return rows
 
 
-def _best_split(rows: list[tuple[int, int, int, int, int]]) -> int:
+def _best_split(rows: list[tuple[int, int, int, int, int]], total_bits: int) -> int:
     """bits_first of the allocation_table row with the largest product;
-    ties go to the earliest row, the smallest bits_first."""
+    ties go to the earliest row, the smallest bits_first.  Raises
+    UnachievableLengthError when there is no row."""
+    if not rows:
+        raise UnachievableLengthError(f"no achievable split of {total_bits} bits for this system")
     return max(rows, key=lambda row: row[4])[0]
 
 
@@ -149,9 +152,4 @@ def brute_force_allocation(system: TwoCodeSystem, total_bits: int) -> int:
     Exact integer comparison; ties go to the smallest bits_first.  Raises
     UnachievableLengthError when no split is achievable.
     """
-    rows = allocation_table(system, total_bits)
-    if not rows:
-        raise UnachievableLengthError(
-            f"no achievable split of {total_bits} bits for this system"
-        )
-    return _best_split(rows)
+    return _best_split(allocation_table(system, total_bits), total_bits)

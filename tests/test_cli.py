@@ -1,5 +1,7 @@
 """End-to-end tests of the thermocode command line."""
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -11,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermocode import Code, count_messages, dump_code, random_complete_code
-from thermocode.cli import _fmt, _logaddexp2, _parse_grid, _windowed, build_parser, main
+from thermocode.cli import _fmt, _parse_grid, build_parser, main
+
+from strategies import whole_codes
 
 CANON_DOC = json.dumps(
     {
@@ -143,15 +147,50 @@ def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, windo
     code = random_complete_code(16, 7) if words is None else Code({f"s{i}": w for i, w in enumerate(words)})
     path = tmp_path / "code.json"
     path.write_text(dump_code(code))
-    rc, out, _ = run(capsys, "omega", "--code", str(path), "-N", str(n), "--window", window)
-    assert rc == 0
     counts = count_messages(code.spectrum(), n).to_dict()
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [int(r[0]) for r in rows] == list(counts)
-    for L, omega, log2_omega, entropy, _ in rows:
-        want = sum(c for M, c in counts.items() if int(L) <= M <= int(L) + float(window))
-        assert int(omega) == want
-        assert log2_omega == entropy == _fmt(math.log2(want))
+    for mode in ("exact", "log"):
+        rc, out, _ = run(capsys, "omega", "--code", str(path), "-N", str(n), "--window", window, "--mode", mode)
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(counts)
+        for L, omega, log2_omega, entropy, _ in rows:
+            want = sum(c for M, c in counts.items() if int(L) <= M <= int(L) + float(window))
+            assert omega == (str(want) if mode == "exact" else "")
+            assert log2_omega == entropy == _fmt(math.log2(want))
+
+
+def _omega_columns(path: str, n: int, window: str, mode: str) -> list[str]:
+    """omega's stdout lines without the omega column: L,log2_omega,S,T."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["omega", "--code", path, "-N", str(n), "--window", window, "--mode", mode]) == 0
+    return [",".join(line.split(",")[:1] + line.split(",")[2:]) for line in out.getvalue().splitlines()]
+
+
+_WINDOWS = ["0.5", "1", "3", "7.9", "inf"]
+_STEP2 = Code({"a": "0", "b": "111"})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(code=whole_codes(), n=st.integers(1, 8), window=st.sampled_from(_WINDOWS))
+@example(code=_STEP2, n=8, window="0.5")
+@example(code=_STEP2, n=8, window="1")
+@example(code=_STEP2, n=8, window="3")
+@example(code=_STEP2, n=8, window="7.9")
+@example(code=_STEP2, n=8, window="inf")
+def test_omega_window_modes_print_the_same_columns(tmp_path_factory, code, n, window):
+    # both modes take log2 of the same exact window sums
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    path.write_text(dump_code(code))
+    exact = _omega_columns(str(path), n, window, "exact")
+    assert exact == _omega_columns(str(path), n, window, "log")
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["plain", "window"])
+@pytest.mark.parametrize("mode", ["exact", "log"])
+def test_omega_without_symbols_exit_one(capsys, canon_path, mode, window):
+    rc, out, err = run(capsys, "omega", "--code", canon_path, "-N", "0", "--mode", mode, *window)
+    assert (rc, out, err) == (1, "", "error: n_symbols must be at least 1\n")
 
 
 def test_omega_capacity_exit_three(capsys, canon_path):
@@ -219,6 +258,20 @@ def test_exact_temperature_passes_no_capacity_guard(capsys, canon_path, monkeypa
         exact = run(capsys, "temperature", "--code", canon_path, "-N", "3", *L)
         log = run(capsys, "temperature", "--code", canon_path, "-N", "3", "--mode", "log", *L)
         assert exact == log and exact[0] == 0
+
+
+def test_log_omega_window_passes_no_capacity_guard(capsys, canon_path, monkeypatch):
+    # log mode sums Miller's counts as they pass, keeping no exact table
+    from thermocode import microcanonical
+
+    monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 0)
+    argv = ("omega", "--code", canon_path, "-N", "3", "--window", "2")
+    assert run(capsys, *argv)[0] == 3
+    rc, out, _ = run(capsys, *argv, "--mode", "log")
+    assert rc == 0
+    # sliding sums over [L, L+2] of the counts 1, 6, 12, 8 are 19, 26, 20, 8
+    s = _fmt(math.log2(19))
+    assert out.splitlines()[1] == f"3,,{s},{s},{_fmt(1 / (math.log2(26) - math.log2(19)))}"
 
 
 def test_temperature_unachievable_exit_two(capsys, canon_path):
@@ -427,6 +480,21 @@ def test_equilibrium_brute_table(capsys, canon_path, five_path):
     assert "L_I_star=2" in err
 
 
+def test_equilibrium_brute_without_a_split_exit_two(capsys, canon_path, five_path):
+    # the library's refusal and message: one word of length 1 or 2 and one
+    # of length 1 or 3 cannot make 6 bits
+    rc, out, err = run(
+        capsys,
+        "equilibrium",
+        "--code", canon_path, "-N", "1",
+        "--code2", five_path, "--N2", "1",
+        "-L", "6", "--brute",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no achievable split of 6 bits for this system\n"
+
+
 def test_equilibrium_out_of_range_exit_two(capsys, canon_path, five_path):
     rc, _, err = run(
         capsys,
@@ -493,41 +561,6 @@ def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
         want.add(1.0)
     got = _parse_grid(f"{lo!r}:{hi!r}:{count}")
     assert [x.hex() for x in got] == [x.hex() for x in sorted(want)]
-
-
-# log2 counts: ties, -inf, signed zeros and gaps past 1100 bits, where
-# 2**-gap underflows to zero; never nan
-_LOG2_FLOATS = st.floats(-1e300, 1e300) | st.floats(-1200.0, 1200.0) | st.sampled_from(
-    [-math.inf, math.inf, 0.0, -0.0, 1.0, 1100.5, -1100.5, 5e-324]
-)
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(x=_LOG2_FLOATS, y=_LOG2_FLOATS)
-@example(x=3.0, y=3.0)
-@example(x=-math.inf, y=-math.inf)
-@example(x=-math.inf, y=2.5)
-@example(x=0.0, y=-0.0)
-@example(x=-0.0, y=-0.0)
-@example(x=0.25, y=1101.0)
-@example(x=1101.0, y=0.25)
-def test_logaddexp2_is_numpys_bit_for_bit(x, y):
-    assert _logaddexp2(x, y).hex() == float(np.logaddexp2(x, y)).hex()
-    assert _logaddexp2(y, x).hex() == float(np.logaddexp2(y, x)).hex()
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(values=st.lists(_LOG2_FLOATS, min_size=1, max_size=12), window=st.integers(0, 12))
-@example(values=[2.0, 2.0, 2.0], window=2)
-@example(values=[-math.inf, -math.inf, 7.0, -math.inf], window=3)
-@example(values=[0.0, -0.0, 1500.0, 0.0], window=3)
-@example(values=[-0.0], window=0)  # reduce starts from the identity -inf: 0.0
-def test_windowed_log_sums_are_numpys_reduce_bit_for_bit(values, window):
-    # the log-mode --window fold, left to right as np.logaddexp2.reduce
-    support = list(range(len(values)))
-    got = _windowed(support, values, window, exact=False)
-    want = [np.logaddexp2.reduce(np.array(values[i : i + window + 1])) for i in support]
-    assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_dimension_grid_over_cap_exit_three(capsys, canon_path):

@@ -178,6 +178,17 @@ def test_log_omega_is_exact_omega_without_counts(case):
     assert log["stdout"] == _blank_omega(exact["stdout"])
 
 
+@pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("omega-") and c.endswith("-exact-window")))
+def test_omega_window_modes_print_the_same_bytes(case):
+    """Both --mode values take math.log2 of the same exact window sums, so
+    --mode log prints the exact bytes with the omega column blank."""
+    cases = _golden()["cases"]
+    exact, log = cases[case], cases[case.replace("-exact", "-log")]
+    assert exact["rc"] == log["rc"] == 0
+    assert exact["stderr"] == log["stderr"]
+    assert log["stdout"] == _blank_omega(exact["stdout"])
+
+
 @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("temperature-") and "-exact" in c))
 def test_temperature_modes_print_the_same_bytes(case):
     """Both --mode values read the log table and its exact most probable

@@ -11,9 +11,9 @@ beta = 1 the dyadic point T = 1.
 
 Exit codes: 0 success, 1 invalid input (bad document, prefix violation,
 usage), 2 infeasible parameter (outside the achievable or feasible range),
-3 capacity guard (an exact count table for omega or equilibrium --brute, a
-prefix table, a --grid or a sampled message too large; for omega, retry
-with --mode log).
+3 capacity guard (exact counts for omega or equilibrium --brute, a prefix
+table, a --grid or a sampled message too large; for omega, retry with
+--mode log).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import argparse
 import math
 import os
 import sys
+from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, islice, starmap, tee
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -98,7 +98,8 @@ def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
 
 
 def _load_code(path: str) -> tuple[Code, Pmf | None]:
-    return _self.parse_code(Path(path).read_text())
+    with open(path) as file:
+        return _self.parse_code(file.read())
 
 
 def _int_total(value: float, what: str = "-L") -> int:
@@ -158,38 +159,27 @@ def _cmd_omega(args):
         raise CodeError(f"--window must be a non-negative number of bits, got {args.window}")
     code, _ = _load_code(args.code)
     spectrum, n = code.spectrum(), args.n_symbols
+    from .microcanonical import _check_exact_size, _miller, _temperatures
+
+    # both modes read Miller's counts as they pass and build no table
     exact = args.mode == "exact"
     if exact:
-        table = _self.count_messages(spectrum, n)
-        passes = iter(table._coeffs), iter(table._coeffs)
-    elif args.window:  # no table: each window sum's log2 is taken as it passes
-        from .microcanonical import _miller
-
-        if n < 1:  # what the table builders refuse
-            raise ValueError("n_symbols must be at least 1")
-        # tee holds the w + 1 counts between the passes, of at most
-        # N*log2(n_codewords) bits each: while they weigh no more than the 64
-        # bits per cell of an unwindowed log table, one recurrence feeds both
-        # passes; past that each pass reruns it, so memory stays flat.
-        span = spectrum.l_max - spectrum.l_min
-        if (args.window + 1) * math.log2(spectrum.n_codewords) <= 64 * span:
-            passes = tee(_miller(spectrum, n))
-        else:
-            passes = _miller(spectrum, n), _miller(spectrum, n)
+        _check_exact_size(spectrum, n)
+    if not args.window:
+        cells = ((j, c) for j, c in enumerate(_miller(spectrum, n)) if c)
     else:
-        table = _self.count_messages_log(spectrum, n)
-    if args.window:
-        offset, support, omegas, entropies = n * spectrum.l_min, [], [], []
-        for j, total in _window_sums(*passes, args.window):
-            support.append(offset + j)
-            omegas.append(total if exact else "")
-            entropies.append(math.log2(total))
-    else:  # the table's log2 array already holds math.log2 of each count
-        support = table._achievable()
-        omegas = [c for c in table._coeffs if c] if exact else [""] * len(support)
-        entropies = list(filter(math.isfinite, table._log2))
-    from .microcanonical import _temperatures
-
+        # tee holds the w + 1 counts between the passes, of at most
+        # N*log2(n_codewords) bits each: while they weigh no more than the
+        # rows' float64 S column (64 bits a cell), one recurrence feeds both
+        # passes; past that each pass reruns it, so memory stays flat.
+        heavy = (args.window + 1) * math.log2(spectrum.n_codewords) > 64 * (spectrum.l_max - spectrum.l_min)
+        passes = (_miller(spectrum, n), _miller(spectrum, n)) if heavy else tee(_miller(spectrum, n))
+        cells = _window_sums(*passes, args.window)
+    offset, support, omegas, entropies = n * spectrum.l_min, array("q"), [], array("d")
+    for j, total in cells:
+        support.append(offset + j)
+        omegas.append(total if exact else "")
+        entropies.append(math.log2(total))
     rows = zip(support, omegas, entropies, entropies, _temperatures(support, entropies))
     return _csv("L,omega,log2_omega,S,T", rows), ()
 

@@ -8,10 +8,11 @@ exactly (arbitrary-precision integers), in the log2 domain (float64 in an
 array('d'), with only a few big integers alive at a time), and by literal
 enumeration (the oracle the other two are checked against), and derives
 entropy and discrete temperature from it.  Counting, entropy and temperature
-run on the standard library, and so does the most probable length: a
-table built from exact counts keeps the one found exactly as the counts
-went by.  numpy is imported inside the functions that build arrays: the
-iter_log_tables sweep, the sampler and the ndarray views of a table.
+run on the standard library, and so does the most probable length of a
+table built from exact counts, which keeps the one found exactly as the
+counts went by.  numpy is imported inside the functions that use arrays:
+the iter_log_tables sweep, the sampler, the ndarray views of a table and
+the most probable length of a table built from floats.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
 entropy (dimensionless).
@@ -45,12 +46,12 @@ __all__ = [
     "sample_messages",
 ]
 
-# Exact tables refuse when their cells could need more than this many bits in
-# all (512 MiB), each cell charged 128 bits (a 64-bit list slot and the
-# float64 log2 of its count) plus its count's bound: canon {0, 10, 11}
-# passes up to N of about 52,000.  The log-domain table runs the same
-# recurrence but keeps only span + 1 counts alive, so it has no size cap; its
-# time still grows as N**2 * span * #lengths.
+# count_messages and exact omega refuse counts whose cells could need
+# more than this many bits in all (512 MiB), each cell charged
+# 128 bits (a 64-bit list slot and the float64 log2 of its count) plus its
+# count's bound: canon {0, 10, 11} passes up to N of about 52,000.  The
+# log-domain table runs the same recurrence but keeps only span + 1 counts
+# alive, so it has no size cap; its time still grows as N**2 * span * #lengths.
 MAX_EXACT_BITS = 2**32
 
 # Literal enumeration refuses more than this many messages.
@@ -218,6 +219,8 @@ def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
     offsets above l_min; every division is exact.  a_m needs only the span
     counts before it, so only those are kept.
     """
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be at least 1")
     l_min = spectrum.l_min
     span = spectrum.l_max - l_min
     d0 = spectrum.d_min
@@ -236,6 +239,20 @@ def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
         yield a
 
 
+def _check_exact_size(spectrum: LengthSpectrum, n_symbols: int) -> None:
+    """count_messages' refusals: n_symbols < 1 first, as the charge's
+    product turns positive for a very negative n_symbols, then the size."""
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be at least 1")
+    span = spectrum.l_max - spectrum.l_min
+    bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 128)
+    if bits > MAX_EXACT_BITS:
+        raise CapacityError(
+            f"exact table needs up to {bits:.3g} bits (cap {MAX_EXACT_BITS}); "
+            "use the log-domain table instead"
+        )
+
+
 def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
     """Exact message-count table by J.C.P. Miller's power recurrence.
 
@@ -246,15 +263,7 @@ def count_messages(spectrum: LengthSpectrum, n_symbols: int) -> EnsembleTable:
     CapacityError before computing anything; use count_messages_log for
     those.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
-    span = spectrum.l_max - spectrum.l_min
-    bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 128)
-    if bits > MAX_EXACT_BITS:
-        raise CapacityError(
-            f"exact table needs up to {bits:.3g} bits (cap {MAX_EXACT_BITS}); "
-            "use the log-domain table instead"
-        )
+    _check_exact_size(spectrum, n_symbols)
     return EnsembleTable(n_symbols, n_symbols * spectrum.l_min, list(_miller(spectrum, n_symbols)))
 
 
@@ -293,8 +302,6 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     probable length found exactly from the counts as they passed, so
     most_probable_length gives count_messages' answer.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
     log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols))
     table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
     table._peak = peak
@@ -436,7 +443,9 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     """
     log2, offset, i = table._log2, table._offset, table._peak
     if i is None and log2:
-        i = max(range(len(log2)), key=lambda j: log2[j] - (offset + j))
+        import numpy as np
+
+        i = int(np.argmax(table.log2_array() - np.arange(offset, offset + len(log2))))
     if i is None or not math.isfinite(log2[i]):  # no cell, or every cell is -inf
         raise UnachievableLengthError(f"no most probable length ({_EMPTY})")
     return offset + i

@@ -189,8 +189,11 @@ def test_omega_window_modes_print_the_same_columns(tmp_path_factory, code, n, wi
 @pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["plain", "window"])
 @pytest.mark.parametrize("mode", ["exact", "log"])
 def test_omega_without_symbols_exit_one(capsys, canon_path, mode, window):
-    rc, out, err = run(capsys, "omega", "--code", canon_path, "-N", "0", "--mode", mode, *window)
-    assert (rc, out, err) == (1, "", "error: n_symbols must be at least 1\n")
+    # the size charge's product turns positive for a very negative N, so
+    # exact mode refuses N < 1 before its guard
+    for n in ("0", "-1000000000"):
+        rc, out, err = run(capsys, "omega", "--code", canon_path, "-N", n, "--mode", mode, *window)
+        assert (rc, out, err) == (1, "", "error: n_symbols must be at least 1\n")
 
 
 def test_omega_capacity_exit_three(capsys, canon_path):
@@ -261,7 +264,8 @@ def test_exact_temperature_passes_no_capacity_guard(capsys, canon_path, monkeypa
 
 
 def test_log_omega_window_passes_no_capacity_guard(capsys, canon_path, monkeypatch):
-    # log mode sums Miller's counts as they pass, keeping no exact table
+    # log mode sums Miller's counts as they pass, keeping no exact table,
+    # with a window and without one
     from thermocode import microcanonical
 
     monkeypatch.setattr(microcanonical, "MAX_EXACT_BITS", 0)
@@ -272,6 +276,41 @@ def test_log_omega_window_passes_no_capacity_guard(capsys, canon_path, monkeypat
     # sliding sums over [L, L+2] of the counts 1, 6, 12, 8 are 19, 26, 20, 8
     s = _fmt(math.log2(19))
     assert out.splitlines()[1] == f"3,,{s},{s},{_fmt(1 / (math.log2(26) - math.log2(19)))}"
+    assert run(capsys, *argv[:5])[0] == 3
+    rc, out, _ = run(capsys, *argv[:5], "--mode", "log")
+    assert rc == 0
+    s = _fmt(math.log2(6))
+    assert out.splitlines()[1:3] == [f"3,,0,0,{_fmt(1 / math.log2(6))}", f"4,,{s},{s},{_fmt(2 / math.log2(12))}"]
+
+
+def test_omega_calls_no_table_builder(monkeypatch, tmp_path):
+    # both modes read Miller's counts as they pass: with every count-table
+    # builder refusing, each omega case still prints its golden bytes, and
+    # so does --window 0; --window 3 and inf print what they print with the
+    # builders in place
+    from test_cli_golden import _golden, _run, _write_codes
+    from thermocode import cli, microcanonical
+
+    golden = _golden()
+    paths = _write_codes(tmp_path, golden["codes"])
+    cases = {name: case for name, case in golden["cases"].items() if name.startswith("omega-")}
+    want = {(name, w): _run([*cases[name]["argv"], "--window", w], paths)
+            for name in cases if name.endswith(("-exact", "-log")) for w in ("3", "inf")}
+
+    def refuse(*args):
+        raise AssertionError("omega built a count table")
+
+    for module in (microcanonical, cli):
+        monkeypatch.setattr(module, "count_messages", refuse)
+        monkeypatch.setattr(module, "count_messages_log", refuse)
+    for name, case in cases.items():
+        recorded = {key: case[key] for key in ("rc", "stdout", "stderr")}
+        assert _run(case["argv"], paths) == recorded
+        if not name.endswith("-window"):
+            assert _run([*case["argv"], "--window", "0"], paths) == recorded
+    for (name, w), got in want.items():
+        assert got["rc"] == 0
+        assert _run([*cases[name]["argv"], "--window", w], paths) == got
 
 
 def test_temperature_unachievable_exit_two(capsys, canon_path):

@@ -697,12 +697,19 @@ def test_float_table_keeps_the_float_rule():
     exact = EnsembleTable(2, 10, [2**60, 2**61 + 1])
     assert most_probable_length(exact) == 11
     floats = LogEnsembleTable(2, 10, exact.log2_array())
-    assert most_probable_length(floats) == numpy_most_probable(floats) == 10
+    assert most_probable_length(floats) == numpy_most_probable(floats) == loop_most_probable(floats) == 10
 
 
 def numpy_most_probable(table: LogEnsembleTable) -> int:
     arr = table.log2_array()
     return table.offset + int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
+
+
+def loop_most_probable(table: LogEnsembleTable) -> int:
+    # the standard-library loop: Python's max keeps the first maximum, as
+    # np.argmax does
+    log2 = table.log2_array().tolist()
+    return table.offset + max(range(len(log2)), key=lambda j: log2[j] - (table.offset + j))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -715,15 +722,15 @@ def test_float_most_probable_length_is_numpys_argmax(spectrum, n):
     # the same IEEE subtraction and the same first-maximum rule, on the
     # sweep's rounded log2 counts: a table built from floats
     table = list(iter_log_tables(spectrum, n))[-1]
-    assert most_probable_length(table) == numpy_most_probable(table)
+    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table)
 
 
 def test_float_most_probable_length_ties_go_low():
     # log2 count - L is -2 at every cell, so the first one wins
     table = LogEnsembleTable(2, 3, [1.0, 2.0, 3.0])
-    assert most_probable_length(table) == numpy_most_probable(table) == 3
+    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table) == 3
     table = LogEnsembleTable(2, 3, [-math.inf, 2.0, 3.0, -math.inf])
-    assert most_probable_length(table) == numpy_most_probable(table) == 4
+    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table) == 4
 
 
 def test_most_probable_length_log_agrees_with_exact():

@@ -32,10 +32,11 @@ def _env(**env) -> dict:
     return {**base, "PYTHONPATH": path, **env}
 
 
-def probe(code: str, **env) -> dict:
-    """Run code in a fresh interpreter; it prints one JSON object last."""
+def probe(code: str, *flags: str, **env) -> dict:
+    """Run code in a fresh interpreter started with flags; it prints one
+    JSON object last."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_env(**env), capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], env=_env(**env), capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -147,6 +148,18 @@ def test_main_module_refuses_a_missing_file_before_loading_the_counting_module(t
     assert "thermocode.microcanonical" not in loaded
 
 
+def test_check_loads_no_pathlib(g16):
+    # under -S, since a .pth hook in site-packages may import pathlib itself
+    got = probe(
+        "import json, sys\n"
+        "from thermocode import cli\n"
+        f"rc = cli.main(['check', '--code', {g16!r}])\n"
+        "print(json.dumps({'rc': rc, 'pathlib': 'pathlib' in sys.modules}))\n",
+        "-S",
+    )
+    assert got == {"rc": 0, "pathlib": False}
+
+
 def test_import_loads_no_submodule():
     got = probe(
         "import json, sys\n"
@@ -201,11 +214,11 @@ def test_cli_attributes_are_the_functions_a_tracer_wraps():
 
 
 def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
-    argv = ["omega", "--code", g16, "-N", "4"]
+    argv = ["temperature", "--code", g16, "-N", "4"]
     got = probe(
         "import contextlib, io, json\n"
         "from thermocode import cli\n"
-        "original = cli.count_messages\n"
+        "original = cli.count_messages_log\n"
         "calls = []\n"
         "def wrapper(*args):\n"
         "    calls.append(args[1])\n"
@@ -215,13 +228,13 @@ def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
         "    with contextlib.redirect_stdout(out):\n"
         f"        assert cli.main({argv!r}) == 0\n"
         "    return out.getvalue()\n"
-        "cli.count_messages = wrapper\n"
+        "cli.count_messages_log = wrapper\n"
         "wrapped = run()\n"
         "after_wrap = list(calls)\n"
-        "cli.count_messages = original\n"
+        "cli.count_messages_log = original\n"
         "plain = run()\n"
         "print(json.dumps({'calls': after_wrap, 'later': calls, 'same': wrapped == plain,\n"
-        "                  'restored': cli.count_messages is original}))\n"
+        "                  'restored': cli.count_messages_log is original}))\n"
     )
     assert got == {"calls": [4], "later": [4], "same": True, "restored": True}
 
@@ -263,7 +276,7 @@ def test_every_name_a_cli_function_loads_is_defined_or_public():
     assert got["not_read"] == []
     assert sorted(set(got["read"]) - set(got["public"])) == []
     # every command's library calls go through _self
-    assert {"parse_code", "count_messages", "gibbs_state", "prefix_counts"} <= set(got["read"])
+    assert {"parse_code", "count_messages_log", "gibbs_state", "prefix_counts"} <= set(got["read"])
 
 
 def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):

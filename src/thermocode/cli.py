@@ -74,6 +74,8 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x, signed_inf: bool = True) -> str:
     """CSV cell: strings as given, ints exact, floats at 17 significant
     digits, inf/nan literal."""
+    if type(x) is float and x - x == 0.0:  # a finite float, the most common cell
+        return f"{x:.17g}"
     if isinstance(x, str):
         return x
     if isinstance(x, int):

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
-from .gibbs import _LN2, _stats, gibbs_state, temperature_from_beta
+from .gibbs import _LN2, _partition, gibbs_state, temperature_from_beta
 
 __all__ = [
     "DimensionLimits",
@@ -71,12 +71,11 @@ def box_dimension(spectrum: LengthSpectrum, beta: float) -> float:
 
 def _mean_and_dimension(spectrum: LengthSpectrum, beta: float) -> tuple[float, float]:
     """(mean length, dim) at beta, from one evaluation of the canonical sums."""
-    log2_z, mean, _ = _stats(spectrum, beta)
+    log2_z, mean = _partition(spectrum, beta)[:2]
     return mean, beta + log2_z / mean
 
 
-@dataclass(frozen=True)
-class DimensionLimits:
+class DimensionLimits(NamedTuple):
     """Limits of the dimension curve at the four ends of the T axis.
 
     t_to_zero_plus:  T -> +0 (beta -> +inf): log2(d_min)/l_min, only the
@@ -119,8 +118,7 @@ def unit_temperature_derivatives(spectrum: LengthSpectrum) -> tuple[float, float
     return 0.0 - g, 2 * g + dg  # 0.0 - g is 0, never -0, when log2 Z is 0
 
 
-@dataclass(frozen=True)
-class PrefixCountTable:
+class PrefixCountTable(NamedTuple):
     """Exact counts of distinct n-bit prefixes of the fixed-length message set.
 
     counts[n] is the number of distinct length-n binary strings extendable

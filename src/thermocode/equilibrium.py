@@ -15,11 +15,11 @@ over every achievable integer split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import LengthSpectrum
 from .errors import InfeasibleError, UnachievableLengthError
-from .gibbs import _mean_total, _stats, temperature_from_beta
+from .gibbs import _mean_total, _partition, temperature_from_beta
 from .microcanonical import count_messages
 from .rootfind import solve_decreasing
 
@@ -32,18 +32,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoCodeSystem:
-    """Two spectra with their message lengths (in symbols)."""
-
+class _TwoCodes(NamedTuple):
     spectrum_first: LengthSpectrum
     n_first: int
     spectrum_second: LengthSpectrum
     n_second: int
 
-    def __post_init__(self):
-        if self.n_first < 1 or self.n_second < 1:
+
+class TwoCodeSystem(_TwoCodes):
+    """Two spectra with their message lengths (in symbols)."""
+
+    __slots__ = ()
+
+    def __new__(cls, spectrum_first, n_first, spectrum_second, n_second):
+        if n_first < 1 or n_second < 1:
             raise ValueError("both message lengths must be at least 1")
+        return super().__new__(cls, spectrum_first, n_first, spectrum_second, n_second)
+
+    @classmethod
+    def _make(cls, iterable) -> TwoCodeSystem:
+        return cls(*iterable)  # so _replace checks the lengths too
 
     @property
     def feasible_range(self) -> tuple[int, int]:
@@ -53,8 +61,7 @@ class TwoCodeSystem:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Continuous equilibrium split of the bit budget.
 
     bits_first + bits_second reproduces the budget up to the solver
@@ -107,8 +114,8 @@ def solve_equilibrium(system: TwoCodeSystem, total_bits: float) -> Allocation:
     f, df = _mean_total([(sp1, n1), (sp2, n2)])
     tol = max(1e-9, 16.0 * math.ulp(float(total_bits)))
     beta = solve_decreasing(f, total_bits, df=df, f_tol=tol)
-    bits_first = n1 * _stats(sp1, beta)[1]
-    bits_second = n2 * _stats(sp2, beta)[1]
+    bits_first = n1 * _partition(sp1, beta)[1]
+    bits_second = n2 * _partition(sp2, beta)[1]
     return Allocation(
         beta_star=beta,
         bits_first=bits_first,

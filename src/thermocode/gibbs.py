@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from .codes import Code, LengthSpectrum, Pmf
 from .errors import DegenerateSpectrumError, InfeasibleError
@@ -55,6 +56,21 @@ def temperature_from_beta(beta: float) -> float:
     return 1.0 / beta
 
 
+def _partition(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, tuple[int, ...], list[float], float]:
+    """(log2 Z, mean length, lengths, weights, their total) at inverse
+    temperature beta: the weights are 2**(log2 d_l - beta * l) shifted by
+    their largest log, so they sum to total without overflow."""
+    if not math.isfinite(beta * spectrum.l_max):
+        limit = sys.float_info.max / spectrum.l_max
+        raise ValueError(f"beta {beta!r} is out of range: |beta| must stay below about {limit:.6g}")
+    lengths = spectrum.lengths
+    log2w = [x - beta * l for l, x in zip(lengths, spectrum._log2_degeneracy)]
+    shift = max(log2w)
+    w = [2.0 ** (x - shift) for x in log2w]
+    total = math.fsum(w)
+    return shift + math.log2(total), math.fsum(map(mul, lengths, w)) / total, lengths, w, total
+
+
 def _stats(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, float]:
     """(log2 Z, mean length, length variance) at inverse temperature beta.
 
@@ -65,17 +81,9 @@ def _stats(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, float]:
     variance within a relative 4 ulp(M), where ulp(M) is 2**floor(log2 M)
     times ulp(1).
     """
-    if not math.isfinite(beta * spectrum.l_max):
-        limit = sys.float_info.max / spectrum.l_max
-        raise ValueError(f"beta {beta!r} is out of range: |beta| must stay below about {limit:.6g}")
-    lengths = spectrum.lengths
-    log2w = [math.log2(spectrum.count(l)) - beta * l for l in lengths]
-    shift = max(log2w)
-    w = [2.0 ** (x - shift) for x in log2w]
-    total = math.fsum(w)
-    mean = math.fsum(l * wl for l, wl in zip(lengths, w)) / total
+    log2_z, mean, lengths, w, total = _partition(spectrum, beta)
     var = math.fsum((l - mean) ** 2 * wl for l, wl in zip(lengths, w)) / total
-    return shift + math.log2(total), mean, var
+    return log2_z, mean, var
 
 
 def _mean_total(parts: list[tuple[LengthSpectrum, int]]):
@@ -84,7 +92,7 @@ def _mean_total(parts: list[tuple[LengthSpectrum, int]]):
     solve_decreasing."""
 
     def f(beta: float) -> float:
-        return sum(n * _stats(spectrum, beta)[1] for spectrum, n in parts)
+        return sum(n * _partition(spectrum, beta)[1] for spectrum, n in parts)
 
     def df(beta: float) -> float:
         return -_LN2 * sum(n * _stats(spectrum, beta)[2] for spectrum, n in parts)
@@ -92,8 +100,7 @@ def _mean_total(parts: list[tuple[LengthSpectrum, int]]):
     return f, df
 
 
-@dataclass(frozen=True)
-class GibbsState:
+class GibbsState(NamedTuple):
     """Canonical state of one code at a given inverse temperature.
 
     length_prob maps each distinct codeword length to the probability of a
@@ -160,7 +167,7 @@ def mean_length(spectrum: LengthSpectrum, beta: float) -> float:
     Strictly decreasing in beta, from l_max (beta -> -inf) to l_min
     (beta -> +inf); its derivative is -ln2 times the length variance.
     """
-    return _stats(spectrum, beta)[1]
+    return _partition(spectrum, beta)[1]
 
 
 def beta_for_mean_length(spectrum: LengthSpectrum, target: float) -> float:

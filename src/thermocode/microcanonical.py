@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
 from .errors import CapacityError, UnachievableLengthError
@@ -195,8 +194,7 @@ class EnsembleTable(LogEnsembleTable):
         return sum((Fraction(c, 2**L) for L, c in self.items()), start=Fraction(0))
 
 
-@dataclass(frozen=True)
-class TemperatureEstimate:
+class TemperatureEstimate(NamedTuple):
     """Discrete temperature at one total length.
 
     value is dL/dS from a central difference over the nearest achievable
@@ -451,8 +449,7 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     return offset + i
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     """Outcome of Monte Carlo message sampling.
 
     histogram maps total length to frequency (frequencies sum to draws).

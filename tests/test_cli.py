@@ -799,3 +799,49 @@ def test_every_subcommand_help_mentions_bits():
     for name, sub in subparsers.choices.items():
         text = sub.format_help().lower()
         assert "bits" in text, f"help for {name} should state the unit"
+
+
+def _fmt_reference(x, signed_inf: bool = True) -> str:
+    """cli._fmt's body before its finite-float fast path, kept as the oracle."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x)
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        if x > 0:
+            return "+inf" if signed_inf else "inf"
+        return "-inf"
+    return f"{x:.17g}"
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.booleans(),
+    st.integers(),
+    st.text(),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(x=_CELLS, signed_inf=st.booleans())
+@example(x=0.0, signed_inf=True)
+@example(x=-0.0, signed_inf=True)
+@example(x=5e-324, signed_inf=True)
+@example(x=-5e-324, signed_inf=True)
+@example(x=sys.float_info.max, signed_inf=True)
+@example(x=-sys.float_info.max, signed_inf=True)
+@example(x=math.inf, signed_inf=True)
+@example(x=math.inf, signed_inf=False)
+@example(x=-math.inf, signed_inf=False)
+@example(x=math.nan, signed_inf=True)
+@example(x=np.float64(math.inf), signed_inf=False)
+@example(x=np.float64(-0.0), signed_inf=True)
+@example(x=True, signed_inf=True)
+@example(x=2**80, signed_inf=True)
+@example(x="+inf", signed_inf=False)
+def test_fmt_matches_its_reference_body(x, signed_inf):
+    assert _fmt(x, signed_inf) == _fmt_reference(x, signed_inf)

@@ -26,9 +26,11 @@ from thermocode import (
     mean_length,
     prefix_counts,
     random_complete_code,
+    temperature_from_beta,
     unit_temperature_derivatives,
 )
 from thermocode import dimension
+from thermocode.gibbs import _partition, _stats
 from strategies import exact_stats, kraft_spectra, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
@@ -147,6 +149,24 @@ def test_dimension_curve_rows():
     assert mean == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert dim == pytest.approx(3 * math.log2(3) / 5, abs=1e-12)
     assert rows[1][1] == 1.0 and rows[1][3] == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(values) -> tuple[str, ...]:
+    return tuple(map(float.hex, values))  # tells -0.0 from 0.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spectrum=kraft_spectra())
+@example(spectrum=CANON_SP)
+@example(spectrum=LengthSpectrum({3: 8}))
+def test_one_formula_for_log2_z_and_the_mean(spectrum):
+    # the curve, mean_length, box_dimension and _stats all read _partition,
+    # bit for bit, out to betas near the float range
+    betas = [0.0, 0.5, -0.5, 5.0, -5.0, 1e300 / spectrum.l_max, -1e300 / spectrum.l_max]
+    want = [(b, temperature_from_beta(b), mean_length(spectrum, b), box_dimension(spectrum, b)) for b in betas]
+    assert list(map(_bits, dimension_curve(spectrum, betas))) == list(map(_bits, want))
+    for beta in betas:
+        assert _bits(_stats(spectrum, beta)[:2]) == _bits(_partition(spectrum, beta)[:2])
 
 
 # ---------------------------------------------------------------------------

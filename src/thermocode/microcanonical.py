@@ -56,11 +56,15 @@ MAX_EXACT_BITS = 2**32
 # Literal enumeration refuses more than this many messages.
 MAX_BRUTE_MESSAGES = 10_000_000
 
-# The sampler draws at most this many symbols per chunk; a chunk's int64
-# matrices take 8 MB each.  rng.choice's stream does not depend on the chunk
-# size, so neither does the report.  A longer message, which would not fit
-# in one chunk, is refused.
-_SAMPLE_CHUNK_CELLS = 1_000_000
+# The sampler refuses a message of more symbols than this.
+MAX_SAMPLE_SYMBOLS = 1_000_000
+
+# The sampler draws whole messages in chunks of about this many symbols (a
+# longer message alone), so it holds a few int64 arrays of max(2**16, N)
+# cells, 512 KiB each at N <= 2**16, and a histogram over the spread of one
+# chunk's totals.  rng.choice's stream does not depend on the chunk size, so
+# neither does the report.
+_SAMPLE_CHUNK_CELLS = 1 << 16
 
 
 def _index(table: LogEnsembleTable, total_bits: int) -> int:
@@ -483,15 +487,18 @@ def sample_messages(
     focus_total set, every sampled message whose coded length hits that
     value is recorded verbatim, giving the conditional distribution over
     coded messages at fixed total length.  A message of more than
-    _SAMPLE_CHUNK_CELLS symbols raises CapacityError.
+    MAX_SAMPLE_SYMBOLS symbols raises CapacityError.  Messages are drawn in
+    chunks of max(1, _SAMPLE_CHUNK_CELLS // n_symbols), so the working set
+    is a few arrays of max(_SAMPLE_CHUNK_CELLS, n_symbols) cells and a
+    histogram over the spread of one chunk's totals, whatever the draws.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if n_symbols > _SAMPLE_CHUNK_CELLS:
+    if n_symbols > MAX_SAMPLE_SYMBOLS:
         raise CapacityError(
-            f"a message of {n_symbols} symbols exceeds the sampler's cap {_SAMPLE_CHUNK_CELLS}"
+            f"a message of {n_symbols} symbols exceeds the sampler's cap {MAX_SAMPLE_SYMBOLS}"
         )
     _check_alphabet(code, pmf)
     import numpy as np
@@ -504,15 +511,16 @@ def sample_messages(
 
     hist: Counter[int] = Counter()
     conditional: Counter[str] | None = Counter() if focus_total is not None else None
-    chunk = min(draws, _SAMPLE_CHUNK_CELLS // n_symbols)
+    chunk = min(draws, max(1, _SAMPLE_CHUNK_CELLS // n_symbols))
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
         idx = rng.choice(len(words), size=(m, n_symbols), p=probs)
         totals = lengths[idx].sum(axis=1)
-        binc = np.bincount(totals)
-        for L in np.flatnonzero(binc):
-            hist[int(L)] += int(binc[L])
+        lo = int(totals.min())
+        binc = np.bincount(totals - lo)  # the spread of this chunk's totals
+        nz = np.flatnonzero(binc)
+        hist.update(dict(zip((nz + lo).tolist(), binc[nz].tolist())))
         if conditional is not None:
             # sort the hits so equal messages sit together, then join each
             # distinct message once and add its run length

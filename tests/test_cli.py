@@ -702,7 +702,7 @@ def test_sample_reports_histogram(capsys, canon_path):
     assert int(notes["distinct_messages"]) <= 24
 
 
-def test_sample_longer_than_a_chunk_exit_three(capsys, canon_path):
+def test_sample_longer_than_the_cap_exit_three(capsys, canon_path):
     rc, out, err = run(capsys, "sample", "--code", canon_path, "-N", "1000001", "--draws", "1", "--seed", "1")
     assert rc == 3
     assert out == ""

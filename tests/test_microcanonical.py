@@ -860,11 +860,30 @@ def test_sampling_report_does_not_depend_on_chunk_size(monkeypatch):
     n, draws = 4, 5_000
     focus = max(sample_messages(code, pmf, n, draws, seed=5).histogram.items(), key=lambda kv: kv[1])[0]
     reports = []
-    for cells in (999, 4_000, n * draws):
+    for cells in (n - 1, 999, 4_000, n * draws):  # n - 1: one message per chunk
         monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
         reports.append(sample_messages(code, pmf, n, draws, seed=5, focus_total=focus))
-    assert reports[0] == reports[1] == reports[2]
+    assert all(r == reports[0] for r in reports)
     assert len(reports[0].conditional_counts) > 1
+
+
+@pytest.mark.parametrize("cells", [4, 999, 1 << 16])
+def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
+    # l_min = 2, so every total sits well above 0 and a chunk's histogram
+    # is offset by its smallest total; cells = 4 < n draws one message per
+    # chunk, 999 many uneven chunks, 2**16 one chunk
+    code = Code({"a": "00", "b": "01", "c": "100", "d": "101", "e": "1100", "f": "1101", "g": "111"})
+    pmf = dyadic_pmf(code)
+    n, draws = 5, 3_000
+    monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
+    report = sample_messages(code, pmf, n, draws, seed=13)
+
+    lengths = np.array([len(code.codeword(s)) for s in code.symbols])
+    probs = np.array([float(p) for _, p in pmf.items()])
+    rows = np.random.default_rng(13).choice(len(lengths), size=(draws, n), p=probs / probs.sum())
+    want = Counter(lengths[rows].sum(axis=1).tolist())
+    assert report.histogram == dict(sorted(want.items()))
+    assert min(want) >= 2 * n and len(want) > 5
 
 
 def test_sampling_validates_inputs():
@@ -878,11 +897,14 @@ def test_sampling_validates_inputs():
         sample_messages(other, pmf, 2, 10, seed=1)
 
 
-def test_sampling_refuses_a_message_longer_than_a_chunk(monkeypatch):
-    # a message must fit in one chunk of draws, or memory has no bound
-    monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", 10)
+def test_sampling_refuses_a_message_longer_than_the_cap(monkeypatch):
+    monkeypatch.setattr(microcanonical, "MAX_SAMPLE_SYMBOLS", 10)
     pmf = dyadic_pmf(CANON)
     with pytest.raises(CapacityError, match="11 symbols"):
         sample_messages(CANON, pmf, 11, 5, seed=1)
-    report = sample_messages(CANON, pmf, 10, 5, seed=1)  # one message per chunk
+    report = sample_messages(CANON, pmf, 10, 5, seed=1, focus_total=15)
     assert sum(report.histogram.values()) == 5
+    # a message longer than a chunk but within the cap is drawn alone in
+    # its chunk, and reports what one chunk of all the draws reports
+    monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", 3)
+    assert sample_messages(CANON, pmf, 10, 5, seed=1, focus_total=15) == report

@@ -342,7 +342,7 @@ def test_count_table_commands_never_load_numpy(tmp_path):
 
 
 def test_oversized_sample_is_refused_before_numpy_loads(tmp_path):
-    # a message longer than one chunk of draws exits 3 with nothing on
+    # a message longer than the sampler's cap exits 3 with nothing on
     # stdout, before the sampler imports numpy
     doc = str(tmp_path / "g16.json")
     argvs = [
@@ -356,6 +356,34 @@ def test_oversized_sample_is_refused_before_numpy_loads(tmp_path):
     assert printed == []
     assert json.loads(last) == {"rcs": [0, 3], "loaded": []}
     assert "1000001 symbols" in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_sample_memory_is_a_small_constant_over_numpy(tmp_path):
+    # a million draws cost a few MB over loading numpy's generator.  Linux
+    # folds an exec-ing process's high-water RSS into the new program's
+    # ru_maxrss, so the jobs are spawned from a small -S interpreter, not
+    # from this large test process
+    doc = tmp_path / "canon.json"
+    doc.write_text('{"code": [{"symbol": "a", "codeword": "0"}, {"symbol": "b", "codeword": "10"}, {"symbol": "c", "codeword": "11"}]}')
+    jobs = [
+        ["-c", "import numpy.random; numpy.random.default_rng(7)"],
+        ["-m", "thermocode.cli", "sample", "--code", str(doc), "-N", "4",
+         "--draws", "1000000", "--seed", "7", "--focus-L", "6"],
+    ]
+    got = probe(
+        "import json, os, sys\n"
+        "def peak_mb(args):\n"
+        "    out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+        "    pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ, file_actions=out)\n"
+        "    _, status, usage = os.wait4(pid, 0)\n"
+        "    assert os.waitstatus_to_exitcode(status) == 0, args\n"
+        "    return usage.ru_maxrss / 1024\n"
+        f"print(json.dumps([peak_mb(args) for args in {jobs!r}]))\n",
+        "-S",
+    )
+    numpy_mb, sample_mb = got
+    assert sample_mb - numpy_mb < 16, got
 
 
 def test_import_leaves_sys_modules_without_numpy():

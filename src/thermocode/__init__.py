@@ -17,7 +17,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name by its defining submodule; __all__ keeps this order.
+# The one list of public names, by defining submodule.  Each submodule takes
+# its __all__ from here (from . import _EXPORTS), and the package's __all__
+# keeps this order.  This module imports no submodule, so each one can read
+# the table while it loads.
 _EXPORTS = {
     "codes": (
         "Pmf", "Code", "LengthSpectrum", "parse_code", "dump_code", "kraft_sum",

@@ -364,16 +364,6 @@ def _cmd_gen(args):
 # -------------------------------------------------------------------- parser
 
 
-def _add_code(p, second: bool = False):
-    p.add_argument("--code", required=True, metavar="FILE", help="JSON code document")
-    if second:
-        p.add_argument("--code2", required=True, metavar="FILE", help="second code document")
-
-
-def _add_out(p):
-    p.add_argument("--out", metavar="FILE", help="write primary output here instead of stdout")
-
-
 def _add_mode(p, help="exact integer table or log2-domain table (default exact)"):
     p.add_argument("--mode", choices=("exact", "log"), default="exact", help=help)
 
@@ -382,81 +372,62 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="thermocode", description=__doc__.splitlines()[0], epilog=_CONVENTIONS)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("check", help="validate a code document and report its basic quantities", epilog=_CONVENTIONS)
-    _add_code(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_check)
+    def command(name, func, help, code=True, n_symbols=False):
+        """A subparser with the epilog and its handler; --code and -N first
+        when asked.  --out is added to every subparser last."""
+        p = sub.add_parser(name, help=help, epilog=_CONVENTIONS)
+        p.set_defaults(func=func)
+        if code:
+            p.add_argument("--code", required=True, metavar="FILE", help="JSON code document")
+        if n_symbols:
+            p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
+        return p
 
-    p = sub.add_parser("omega", help="message counts by total coded length, as CSV", epilog=_CONVENTIONS)
-    _add_code(p)
-    p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
+    command("check", _cmd_check, "validate a code document and report its basic quantities")
+
+    p = command("omega", _cmd_omega, "message counts by total coded length, as CSV", n_symbols=True)
     _add_mode(p)
     p.add_argument("--window", type=float, default=0.0, help="aggregate counts over [L, L+WINDOW] bits")
-    _add_out(p)
-    p.set_defaults(func=_cmd_omega)
 
-    p = sub.add_parser("temperature", help="entropy and discrete temperature in bits, at -L or at the most probable length", epilog=_CONVENTIONS)
-    _add_code(p)
-    p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
+    p = command("temperature", _cmd_temperature, "entropy and discrete temperature in bits, at -L or at the most probable length", n_symbols=True)
     p.add_argument("-L", dest="total_bits", type=float, help="total coded length in bits")
     _add_mode(p, "exact or log: both give the same answer, from the log2 table and its exact L*")
-    _add_out(p)
-    p.set_defaults(func=_cmd_temperature)
 
-    p = sub.add_parser("gibbs", help="canonical state at one beta or temperature, as CSV", epilog=_CONVENTIONS)
-    _add_code(p)
+    p = command("gibbs", _cmd_gibbs, "canonical state at one beta or temperature, as CSV")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=float, help="inverse temperature 1/T")
     group.add_argument("--temp", type=float, help="temperature T")
-    _add_out(p)
-    p.set_defaults(func=_cmd_gibbs)
 
-    p = sub.add_parser("solve-temp", help="invert the mean length curve: beta for a target mean (bits per codeword)", epilog=_CONVENTIONS)
-    _add_code(p)
+    p = command("solve-temp", _cmd_solve_temp, "invert the mean length curve: beta for a target mean (bits per codeword)")
     p.add_argument("--lambda", dest="lam", type=float, help="target mean codeword length in bits")
     p.add_argument("-L", dest="total_bits", type=float, help="total coded length in bits (with -N)")
     p.add_argument("-N", dest="n_symbols", type=int, help="codewords per message (with -L)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_solve_temp)
 
-    p = sub.add_parser("equilibrium", help="equal-temperature split of a bit budget between two codes", epilog=_CONVENTIONS)
-    _add_code(p, second=True)
+    p = command("equilibrium", _cmd_equilibrium, "equal-temperature split of a bit budget between two codes")
+    p.add_argument("--code2", required=True, metavar="FILE", help="second code document")
     p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message, first code")
     p.add_argument("--N2", dest="n_second", type=int, required=True, help="codewords per message, second code")
     p.add_argument("-L", dest="total_bits", type=float, required=True, help="total bit budget")
     p.add_argument("--brute", action="store_true", help="emit the exact product table over integer splits")
-    _add_out(p)
-    p.set_defaults(func=_cmd_equilibrium)
 
-    p = sub.add_parser("dimension", help="box-counting dimension along the temperature axis, as CSV", epilog=_CONVENTIONS)
-    _add_code(p)
+    p = command("dimension", _cmd_dimension, "box-counting dimension along the temperature axis, as CSV")
     p.add_argument("--grid", default="-5:5:201", metavar="LO:HI:COUNT", help="beta sample grid (default -5:5:201; beta=1 is always added)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_dimension)
 
-    p = sub.add_parser("prefixes", help="exact distinct n-bit prefix counts of the fixed-length message set, as CSV", epilog=_CONVENTIONS)
-    _add_code(p)
-    p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
+    p = command("prefixes", _cmd_prefixes, "exact distinct n-bit prefix counts of the fixed-length message set, as CSV", n_symbols=True)
     p.add_argument("-L", dest="total_bits", type=float, required=True, help="total coded length in bits")
     p.add_argument("--n-max", dest="n_max", type=int, help="largest prefix length to count (default: L)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_prefixes)
 
-    p = sub.add_parser("sample", help="Monte Carlo draws of coded messages; length histogram as CSV", epilog=_CONVENTIONS)
-    _add_code(p)
-    p.add_argument("-N", dest="n_symbols", type=int, required=True, help="codewords per message")
+    p = command("sample", _cmd_sample, "Monte Carlo draws of coded messages; length histogram as CSV", n_symbols=True)
     p.add_argument("--draws", type=int, required=True, help="number of messages to draw")
     p.add_argument("--seed", type=int, required=True, help="PRNG seed (PCG64)")
     p.add_argument("--focus-L", dest="focus_L", type=float, help="record every drawn message of this total length in bits")
-    _add_out(p)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("gen", help="generate a random complete code document (uniform leaf splitting)", epilog=_CONVENTIONS)
+    p = command("gen", _cmd_gen, "generate a random complete code document (uniform leaf splitting)", code=False)
     p.add_argument("--leaves", type=int, required=True, help="number of codewords, at least 2")
     p.add_argument("--seed", type=int, required=True, help="PRNG seed (Mersenne Twister)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_gen)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE", help="write primary output here instead of stdout")
     return parser
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
+from . import _EXPORTS
 from .errors import (
     DecodeError,
     DuplicateCodewordError,
@@ -30,19 +31,7 @@ from .errors import (
     UnknownSymbolError,
 )
 
-__all__ = [
-    "Pmf",
-    "Code",
-    "LengthSpectrum",
-    "parse_code",
-    "dump_code",
-    "kraft_sum",
-    "shannon_entropy",
-    "average_codeword_length",
-    "is_absolutely_optimal",
-    "dyadic_pmf",
-    "random_complete_code",
-]
+__all__ = [*_EXPORTS["codes"]]
 
 # Tolerance for float-valued pmfs: normalization and dyadic comparison.
 PROB_TOL = 1e-12

@@ -28,20 +28,12 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
 from .gibbs import _LN2, _partition, gibbs_state, temperature_from_beta
 
-__all__ = [
-    "DimensionLimits",
-    "PrefixCountTable",
-    "box_dimension",
-    "limit_dimensions",
-    "unit_temperature_derivatives",
-    "prefix_counts",
-    "fit_dimension",
-    "dimension_curve",
-]
+__all__ = [*_EXPORTS["dimension"]]
 
 # prefix_counts refuses a table of more than MAX_REACH_CELLS bytes, charged
 # as (N+1)(L+1) one-byte reachability cells plus 17 (N+1) bytes of rows per

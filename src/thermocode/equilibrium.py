@@ -17,19 +17,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .codes import LengthSpectrum
 from .errors import InfeasibleError, UnachievableLengthError
 from .gibbs import _mean_total, _partition, temperature_from_beta
 from .microcanonical import count_messages
 from .rootfind import solve_decreasing
 
-__all__ = [
-    "TwoCodeSystem",
-    "Allocation",
-    "solve_equilibrium",
-    "brute_force_allocation",
-    "allocation_table",
-]
+__all__ = [*_EXPORTS["equilibrium"]]
 
 
 class _TwoCodes(NamedTuple):

@@ -7,19 +7,9 @@ a computation was refused before it started because its table, result or
 sample grid would be too large (exit 3).
 """
 
-__all__ = [
-    "CodeError",
-    "ParseError",
-    "DuplicateSymbolError",
-    "DuplicateCodewordError",
-    "PrefixViolationError",
-    "UnknownSymbolError",
-    "DecodeError",
-    "InfeasibleError",
-    "UnachievableLengthError",
-    "DegenerateSpectrumError",
-    "CapacityError",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["errors"]]
 
 
 class CodeError(ValueError):

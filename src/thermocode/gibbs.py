@@ -24,19 +24,12 @@ import sys
 from operator import mul
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .codes import Code, LengthSpectrum, Pmf
 from .errors import DegenerateSpectrumError, InfeasibleError
 from .rootfind import solve_decreasing
 
-__all__ = [
-    "GibbsState",
-    "gibbs_state",
-    "mean_length",
-    "beta_for_mean_length",
-    "boltzmann_planck_entropy",
-    "beta_from_temperature",
-    "temperature_from_beta",
-]
+__all__ = [*_EXPORTS["gibbs"]]
 
 _LN2 = math.log(2.0)
 

@@ -27,23 +27,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
 from .errors import CapacityError, UnachievableLengthError
 
-__all__ = [
-    "EnsembleTable",
-    "LogEnsembleTable",
-    "TemperatureEstimate",
-    "SampleReport",
-    "count_messages",
-    "count_messages_brute",
-    "count_messages_log",
-    "iter_log_tables",
-    "entropy_at",
-    "temperature_at",
-    "most_probable_length",
-    "sample_messages",
-]
+__all__ = [*_EXPORTS["microcanonical"]]
 
 # count_messages and exact omega refuse counts whose cells could need
 # more than this many bits in all (512 MiB), each cell charged

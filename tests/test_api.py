@@ -61,6 +61,18 @@ def test_package_table_matches_each_submodule():
             assert getattr(thermocode, name) is getattr(source, name), name
 
 
+@pytest.mark.parametrize("module", list(thermocode._EXPORTS))
+def test_star_import_binds_exactly_the_submodules_exports(module):
+    import importlib
+
+    namespace = {}
+    exec(f"from thermocode.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(thermocode._EXPORTS[module])
+    listed = importlib.import_module(f"thermocode.{module}").__all__
+    assert type(listed) is list and listed == list(thermocode._EXPORTS[module])
+
+
 CANON_SP = LengthSpectrum({1: 1, 2: 2})
 FOUR_SP = LengthSpectrum({2: 4})
 

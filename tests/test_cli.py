@@ -1,5 +1,6 @@
 """End-to-end tests of the thermocode command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -799,6 +800,121 @@ def test_every_subcommand_help_mentions_bits():
     for name, sub in subparsers.choices.items():
         text = sub.format_help().lower()
         assert "bits" in text, f"help for {name} should state the unit"
+
+
+def _declared(parser) -> list[tuple]:
+    """Each action of parser, in order, as (option_strings, dest, required,
+    default, type name, choices, metavar, help)."""
+    return [
+        (
+            tuple(a.option_strings), a.dest, a.required, a.default,
+            getattr(a.type, "__name__", a.type),
+            None if a.choices is None else tuple(a.choices), a.metavar, a.help,
+        )
+        for a in parser._actions
+    ]
+
+
+_HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS, None, None, None, "show this help message and exit")
+_CODE = (("--code",), "code", True, None, None, None, "FILE", "JSON code document")
+_N = (("-N",), "n_symbols", True, None, "int", None, None, "codewords per message")
+_OUT = (("--out",), "out", False, None, None, None, "FILE", "write primary output here instead of stdout")
+
+# each subcommand: its help line, its handler, and its actions in order
+_SUBCOMMANDS = {
+    "check": ("validate a code document and report its basic quantities", "_cmd_check", [_HELP, _CODE, _OUT]),
+    "omega": ("message counts by total coded length, as CSV", "_cmd_omega", [
+        _HELP, _CODE, _N,
+        (("--mode",), "mode", False, "exact", None, ("exact", "log"), None,
+         "exact integer table or log2-domain table (default exact)"),
+        (("--window",), "window", False, 0.0, "float", None, None, "aggregate counts over [L, L+WINDOW] bits"),
+        _OUT,
+    ]),
+    "temperature": ("entropy and discrete temperature in bits, at -L or at the most probable length",
+                    "_cmd_temperature", [
+        _HELP, _CODE, _N,
+        (("-L",), "total_bits", False, None, "float", None, None, "total coded length in bits"),
+        (("--mode",), "mode", False, "exact", None, ("exact", "log"), None,
+         "exact or log: both give the same answer, from the log2 table and its exact L*"),
+        _OUT,
+    ]),
+    "gibbs": ("canonical state at one beta or temperature, as CSV", "_cmd_gibbs", [
+        _HELP, _CODE,
+        (("--beta",), "beta", False, None, "float", None, None, "inverse temperature 1/T"),
+        (("--temp",), "temp", False, None, "float", None, None, "temperature T"),
+        _OUT,
+    ]),
+    "solve-temp": ("invert the mean length curve: beta for a target mean (bits per codeword)",
+                   "_cmd_solve_temp", [
+        _HELP, _CODE,
+        (("--lambda",), "lam", False, None, "float", None, None, "target mean codeword length in bits"),
+        (("-L",), "total_bits", False, None, "float", None, None, "total coded length in bits (with -N)"),
+        (("-N",), "n_symbols", False, None, "int", None, None, "codewords per message (with -L)"),
+        _OUT,
+    ]),
+    "equilibrium": ("equal-temperature split of a bit budget between two codes", "_cmd_equilibrium", [
+        _HELP, _CODE,
+        (("--code2",), "code2", True, None, None, None, "FILE", "second code document"),
+        (("-N",), "n_symbols", True, None, "int", None, None, "codewords per message, first code"),
+        (("--N2",), "n_second", True, None, "int", None, None, "codewords per message, second code"),
+        (("-L",), "total_bits", True, None, "float", None, None, "total bit budget"),
+        (("--brute",), "brute", False, False, None, None, None, "emit the exact product table over integer splits"),
+        _OUT,
+    ]),
+    "dimension": ("box-counting dimension along the temperature axis, as CSV", "_cmd_dimension", [
+        _HELP, _CODE,
+        (("--grid",), "grid", False, "-5:5:201", None, None, "LO:HI:COUNT",
+         "beta sample grid (default -5:5:201; beta=1 is always added)"),
+        _OUT,
+    ]),
+    "prefixes": ("exact distinct n-bit prefix counts of the fixed-length message set, as CSV", "_cmd_prefixes", [
+        _HELP, _CODE, _N,
+        (("-L",), "total_bits", True, None, "float", None, None, "total coded length in bits"),
+        (("--n-max",), "n_max", False, None, "int", None, None, "largest prefix length to count (default: L)"),
+        _OUT,
+    ]),
+    "sample": ("Monte Carlo draws of coded messages; length histogram as CSV", "_cmd_sample", [
+        _HELP, _CODE, _N,
+        (("--draws",), "draws", True, None, "int", None, None, "number of messages to draw"),
+        (("--seed",), "seed", True, None, "int", None, None, "PRNG seed (PCG64)"),
+        (("--focus-L",), "focus_L", False, None, "float", None, None,
+         "record every drawn message of this total length in bits"),
+        _OUT,
+    ]),
+    "gen": ("generate a random complete code document (uniform leaf splitting)", "_cmd_gen", [
+        _HELP,
+        (("--leaves",), "leaves", True, None, "int", None, None, "number of codewords, at least 2"),
+        (("--seed",), "seed", True, None, "int", None, None, "PRNG seed (Mersenne Twister)"),
+        _OUT,
+    ]),
+}
+
+
+def test_parser_declarations_are_pinned():
+    # argparse's objects, not its formatted help, which wraps differently
+    # from one Python version to the next
+    parser = build_parser()
+    conventions = (
+        "Lengths, entropies, and totals are in bits. "
+        "beta is the inverse temperature 1/T: beta=0 means T=+-inf, "
+        "beta=1 is the dyadic point T=1, negative beta means negative T."
+    )
+    assert (parser.prog, parser.description, parser.epilog) == ("thermocode", "Command line interface.", conventions)
+    assert _declared(parser) == [
+        _HELP, ((), "command", False, None, None, tuple(_SUBCOMMANDS), "COMMAND", None),
+    ]
+    assert parser.get_default("func") is None
+    subparsers = parser._subparsers._group_actions[0]
+    assert [(c.dest, c.help) for c in subparsers._choices_actions] == [
+        (name, help) for name, (help, _, _) in _SUBCOMMANDS.items()
+    ]
+    for name, (_, func, actions) in _SUBCOMMANDS.items():
+        sub = subparsers.choices[name]
+        assert (sub.prog, sub.epilog) == (f"thermocode {name}", conventions), name
+        assert sub.get_default("func").__name__ == func, name
+        assert _declared(sub) == actions, name
+        groups = [(g.required, [a.dest for a in g._group_actions]) for g in sub._mutually_exclusive_groups]
+        assert groups == ([(True, ["beta", "temp"])] if name == "gibbs" else []), name
 
 
 def _fmt_reference(x, signed_inf: bool = True) -> str:

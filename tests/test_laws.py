@@ -1,0 +1,108 @@
+"""The paper's T = 1 claim and ensemble equivalence as 1/N laws.
+
+Daniels' saddle-point expansion (1954), taken to its Edgeworth term, gives
+both claims with their finite-N coefficients from the length cumulants
+kappa2 and kappa3 of the Gibbs law and the lattice step g:
+
+- T = 1: the most probable total length L* is the lattice argmax of
+  S(L) - L, near the continuous mode x0 = N*lambda - kappa3/(2*kappa2)
+  (cumulants at beta = 1), and
+  1/T(L*) - 1 = -log2(e)*(L* - x0)/(N*kappa2) + O(N**-2).
+- Ensemble equivalence: at any total L,
+  1/T(L) = beta*(L/N) + c(beta*)/N + O(N**-2), with
+  c(beta) = -log2(e)*kappa3/(2*kappa2**2).
+
+Each law is checked against the log2 of Miller's exact counts by its rate:
+the residual at 2N against the residual at N, not a fixed tolerance.
+"""
+
+import math
+from functools import cache
+from math import fsum
+
+import pytest
+
+from thermocode import (
+    LengthSpectrum,
+    beta_for_mean_length,
+    count_messages_log,
+    mean_length,
+    most_probable_length,
+    temperature_at,
+)
+from strategies import exact_stats
+
+LOG2E = 1 / math.log(2)
+
+SPECTRA = {
+    "canon": {1: 1, 2: 2},
+    "g16": {3: 4, 4: 6, 5: 3, 6: 1, 7: 2},
+    "g64": {3: 4, 4: 3, 5: 2, 6: 8, 7: 6, 8: 14, 9: 7, 10: 6, 11: 6, 12: 1, 13: 5, 14: 2},
+    "step2": {1: 1, 3: 1},  # lattice step 2
+    "incomplete": {2: 1, 3: 3, 5: 4},  # Kraft sum 3/4; L* - x0 is -1/2, a near tie
+}
+
+
+@cache
+def _table(name: str, n: int):
+    return count_messages_log(LengthSpectrum(SPECTRA[name]), n)
+
+
+def _unit_temperature_law(name: str, n: int) -> tuple[int, float, float, float]:
+    """L*, T(L*), L* - x0 and the law's residual r(N) at N = n."""
+    spectrum = LengthSpectrum(SPECTRA[name])
+    _, lam, k2, k3 = map(float, exact_stats(spectrum, 1))
+    table = _table(name, n)
+    star = most_probable_length(table)
+    temperature = temperature_at(table, star).value
+    shift = star - (n * lam - k3 / (2 * k2))
+    return star, temperature, shift, 1 / temperature - 1 + LOG2E * shift / (n * k2)
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+def test_most_probable_length_is_the_lattice_point_nearest_the_mode(name):
+    step = LengthSpectrum(SPECTRA[name]).lattice_step
+    for n in (250, 500, 1000):
+        _, _, shift, _ = _unit_temperature_law(name, n)
+        assert abs(shift) <= step / 2 + 1e-9, (n, shift)
+
+
+def test_canon_is_at_unit_temperature_exactly():
+    # kappa3 = 0 on canon, and L* sits on the mode
+    for n in (250, 500, 1000):
+        star, temperature, shift, _ = _unit_temperature_law("canon", n)
+        assert (star, temperature, shift) == (3 * n // 2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["g16", "g64", "step2", "incomplete"])
+def test_unit_temperature_offset_is_exact_to_first_order(name):
+    # the residual falls as N**-2: a quarter per doubling
+    for n in (250, 500):
+        _, _, _, r = _unit_temperature_law(name, n)
+        _, _, _, r2 = _unit_temperature_law(name, 2 * n)
+        assert r != 0.0 and abs(r2) <= 0.35 * abs(r), (n, r, r2)
+
+
+def _cumulants(counts: dict[int, int], beta: float) -> tuple[float, float]:
+    """kappa2 and kappa3 of the length under the Gibbs law at beta."""
+    w = {l: d * 2.0 ** (-beta * l) for l, d in counts.items()}
+    z = fsum(w.values())
+    mean = fsum(l * wl for l, wl in w.items()) / z
+    k2 = fsum((l - mean) ** 2 * wl for l, wl in w.items()) / z
+    k3 = fsum((l - mean) ** 3 * wl for l, wl in w.items()) / z
+    return k2, k3
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.5, 2.0])
+def test_ensemble_equivalence_with_its_first_order_offset(beta):
+    spectrum = LengthSpectrum(SPECTRA["g16"])
+
+    def residual(n: int) -> float:
+        total = round(n * mean_length(spectrum, beta))
+        star = beta_for_mean_length(spectrum, total / n)
+        k2, k3 = _cumulants(SPECTRA["g16"], star)
+        c = -LOG2E * k3 / (2 * k2**2)
+        return n * (1 / temperature_at(_table("g16", n), total).value - star) - c
+
+    d, d2 = residual(500), residual(1000)
+    assert d != 0.0 and abs(d2) <= 0.6 * abs(d), (d, d2)

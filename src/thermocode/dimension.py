@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import _EXPORTS
 from .codes import Code, LengthSpectrum
 from .errors import CapacityError, UnachievableLengthError
-from .gibbs import _LN2, _partition, gibbs_state, temperature_from_beta
+from .gibbs import _LN2, _partition, _stats, temperature_from_beta
 
 __all__ = [*_EXPORTS["dimension"]]
 
@@ -102,9 +102,7 @@ def unit_temperature_derivatives(spectrum: LengthSpectrum) -> tuple[float, float
     where g' brings in k3, the third central moment.  For a complete code
     log2 Z = 0: dim'(1) = 0 and dim''(1) = -ln2 var / lambda < 0.
     """
-    s = gibbs_state(spectrum, 1.0)
-    lam, var, z = s.mean_length, s.variance, s.log2_z
-    k3 = math.fsum(d * s.length_prob[l] * (l - lam) ** 3 for l, d in spectrum.degeneracy.items())
+    z, lam, var, k3 = _stats(spectrum, 1.0)
     g = _LN2 * var * z / lam**2
     dg = _LN2 * (-_LN2 * k3 * z / lam**2 - var / lam + 2 * _LN2 * var**2 * z / lam**3)
     return 0.0 - g, 2 * g + dg  # 0.0 - g is 0, never -0, when log2 Z is 0

@@ -41,24 +41,20 @@ def solve_decreasing(
     lo, hi = _START_LO, _START_HI
     flo = f(lo)
     fhi = f(hi)
-    # Grow left until f(lo) >= target (f decreasing: the left end is the high side).
+    # Grow the end that misses until f(lo) >= target >= f(hi).  f decreases,
+    # so at most one end misses, and its old point, the new other end, holds.
     for _ in range(_MAX_EXPAND):
-        if flo >= target:
+        if not flo >= target:
+            hi, fhi, lo = lo, flo, 2.0 * lo
+            flo = f(lo)
+        elif not fhi <= target:
+            lo, flo, hi = hi, fhi, 2.0 * hi
+            fhi = f(hi)
+        else:
             break
-        hi, fhi = lo, flo
-        lo = 2.0 * lo
-        flo = f(lo)
     else:
-        raise ValueError(f"could not bracket target {target} from the left")
-    # Grow right until f(hi) <= target.
-    for _ in range(_MAX_EXPAND):
-        if fhi <= target:
-            break
-        lo, flo = hi, fhi
-        hi = 2.0 * hi
-        fhi = f(hi)
-    else:
-        raise ValueError(f"could not bracket target {target} from the right")
+        side = "left" if not flo >= target else "right"
+        raise ValueError(f"could not bracket target {target} from the {side}")
 
     best_x, best_gap = lo, abs(flo - target)
     if abs(fhi - target) < best_gap:

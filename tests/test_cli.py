@@ -710,6 +710,19 @@ def test_sample_longer_than_the_cap_exit_three(capsys, canon_path):
     assert "1000001 symbols" in err
 
 
+def test_sample_without_probabilities_draws_the_dyadic_law(capsys, tmp_path, canon_path):
+    # a complete code without probabilities samples 2**-length: the same
+    # bytes as the explicit dyadic pmf; an incomplete one has no such law
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"code": [{k: e[k] for k in ("symbol", "codeword")} for e in json.loads(CANON_DOC)["code"]]}))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"code": [{"symbol": "a", "codeword": "0"}, {"symbol": "b", "codeword": "10"}]}))
+    argv = ("-N", "4", "--draws", "500", "--seed", "3", "--focus-L", "6")
+    assert run(capsys, "sample", "--code", str(bare), *argv) == run(capsys, "sample", "--code", canon_path, *argv)
+    rc, out, err = run(capsys, "sample", "--code", str(short), *argv)
+    assert (rc, out) == (1, "") and "not complete" in err
+
+
 def test_sample_deterministic(capsys, canon_path):
     _, out1, _ = run(capsys, "sample", "--code", canon_path, "-N", "3", "--draws", "500", "--seed", "3")
     _, out2, _ = run(capsys, "sample", "--code", canon_path, "-N", "3", "--draws", "500", "--seed", "3")

@@ -45,6 +45,14 @@ def test_pmf_exact_from_strings():
     assert pmf.symbols == ("a", "b", "c")
 
 
+def test_pmf_membership_size_and_repr():
+    pmf = Pmf({"a": "1/2", "b": "1/4", "c": "1/4"})
+    assert "a" in pmf and "d" not in pmf
+    assert len(pmf) == 3
+    assert repr(pmf) == "Pmf({a: 1/2, b: 1/4, c: 1/4})"
+    assert repr(Pmf({"x": 0.25, "y": 0.75})) == "Pmf({x: 0.25, y: 0.75})"
+
+
 def test_pmf_float_mode_not_exact():
     pmf = Pmf({"a": 0.5, "b": 0.5})
     assert not pmf.exact
@@ -320,6 +328,12 @@ def test_parse_code_errors():
         parse_code(json.dumps(["a"]))
     with pytest.raises(ParseError):
         parse_code(json.dumps({"code": [{"symbol": "a"}]}))
+    with pytest.raises(ParseError, match="entry 1 is not an object"):
+        parse_code(json.dumps({"code": [{"symbol": "a", "codeword": "0"}, ["b", "1"]]}))
+    with pytest.raises(ParseError, match="symbol must be a non-empty string, got ''"):
+        parse_code(json.dumps({"code": [{"symbol": "", "codeword": "0"}]}))
+    with pytest.raises(ParseError, match="symbol 'a b' contains whitespace"):
+        parse_code(json.dumps({"code": [{"symbol": "a b", "codeword": "0"}]}))
     with pytest.raises(DuplicateSymbolError):
         parse_code(
             json.dumps(

@@ -195,14 +195,19 @@ def test_beta_range_is_bounded_by_l_max():
 @example(spectrum=LengthSpectrum({30: 3, 32: 4, 34: 1}), beta=-4)  # long words, small variance
 @example(spectrum=LengthSpectrum({5: 32}), beta=3)  # one length
 @example(spectrum=LengthSpectrum({7: 100}), beta=-4)
+@example(spectrum=LengthSpectrum({32: 3, 33: 1}), beta=0)  # k3's worst seen: the mean's rounding
 def test_stats_within_the_documented_bound_of_exact_sums(spectrum, beta):
-    log2_z, mean, var = _stats(spectrum, beta)
-    want_log2_z, want_mean, want_var, _ = exact_stats(spectrum, beta)
+    log2_z, mean, var, k3 = _stats(spectrum, beta)
+    want_log2_z, want_mean, want_var, want_k3 = exact_stats(spectrum, beta)
     # ulp(M), M the largest magnitude that a log weight is built from
     ulp = math.ulp(max(1.0, *(max(math.log2(d), abs(beta * l)) for l, d in spectrum.degeneracy.items())))
     assert abs(Decimal(log2_z) - want_log2_z) <= 4 * Decimal(ulp)
     assert abs(Fraction(mean) - want_mean) <= 2 * Fraction(ulp) * want_mean
     assert abs(Fraction(var) - want_var) <= 4 * Fraction(ulp) * want_var
+    # k3 may cancel to 0, so its bound is against E|l - mean|**3 + mean * var
+    w = {l: d * Fraction(2) ** (-beta * l) for l, d in spectrum.degeneracy.items()}
+    abs_k3 = sum(abs(l - want_mean) ** 3 * wl for l, wl in w.items()) / sum(w.values())
+    assert abs(Fraction(k3) - want_k3) <= 3 * Fraction(ulp) * (abs_k3 + want_mean * want_var)
 
 
 # ---------------------------------------------------------------------------

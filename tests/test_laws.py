@@ -11,25 +11,34 @@ kappa2 and kappa3 of the Gibbs law and the lattice step g:
 - Ensemble equivalence: at any total L,
   1/T(L) = beta*(L/N) + c(beta*)/N + O(N**-2), with
   c(beta) = -log2(e)*kappa3/(2*kappa2**2).
+- Equilibrium: two codes of N codewords each sharing L bits peak, as a
+  continuous function of the first code's share, at bits_first + delta +
+  O(1/N), with delta = ln2*(c_I - c_II)/(1/kappa2_I + 1/kappa2_II) at the
+  common beta*.
 
 Each law is checked against the log2 of Miller's exact counts by its rate:
-the residual at 2N against the residual at N, not a fixed tolerance.
+the residual at a larger N against the residual at N, not a fixed
+tolerance.  The cumulants come from gibbs._stats, the code under test, or
+from the exact rational sums of strategies.exact_stats.
 """
 
 import math
 from functools import cache
-from math import fsum
 
 import pytest
 
 from thermocode import (
     LengthSpectrum,
+    TwoCodeSystem,
     beta_for_mean_length,
     count_messages_log,
     mean_length,
     most_probable_length,
+    random_complete_code,
+    solve_equilibrium,
     temperature_at,
 )
+from thermocode.gibbs import _stats
 from strategies import exact_stats
 
 LOG2E = 1 / math.log(2)
@@ -44,15 +53,21 @@ SPECTRA = {
 
 
 @cache
-def _table(name: str, n: int):
-    return count_messages_log(LengthSpectrum(SPECTRA[name]), n)
+def _table(spectrum: LengthSpectrum, n: int):
+    return count_messages_log(spectrum, n)
+
+
+def _offset(spectrum: LengthSpectrum, beta: float) -> tuple[float, float]:
+    """c(beta) = -log2(e)*kappa3/(2*kappa2**2), and kappa2, from _stats."""
+    _, _, k2, k3 = _stats(spectrum, beta)
+    return -LOG2E * k3 / (2 * k2**2), k2
 
 
 def _unit_temperature_law(name: str, n: int) -> tuple[int, float, float, float]:
     """L*, T(L*), L* - x0 and the law's residual r(N) at N = n."""
     spectrum = LengthSpectrum(SPECTRA[name])
     _, lam, k2, k3 = map(float, exact_stats(spectrum, 1))
-    table = _table(name, n)
+    table = _table(spectrum, n)
     star = most_probable_length(table)
     temperature = temperature_at(table, star).value
     shift = star - (n * lam - k3 / (2 * k2))
@@ -83,16 +98,6 @@ def test_unit_temperature_offset_is_exact_to_first_order(name):
         assert r != 0.0 and abs(r2) <= 0.35 * abs(r), (n, r, r2)
 
 
-def _cumulants(counts: dict[int, int], beta: float) -> tuple[float, float]:
-    """kappa2 and kappa3 of the length under the Gibbs law at beta."""
-    w = {l: d * 2.0 ** (-beta * l) for l, d in counts.items()}
-    z = fsum(w.values())
-    mean = fsum(l * wl for l, wl in w.items()) / z
-    k2 = fsum((l - mean) ** 2 * wl for l, wl in w.items()) / z
-    k3 = fsum((l - mean) ** 3 * wl for l, wl in w.items()) / z
-    return k2, k3
-
-
 @pytest.mark.parametrize("beta", [-1.0, 0.5, 2.0])
 def test_ensemble_equivalence_with_its_first_order_offset(beta):
     spectrum = LengthSpectrum(SPECTRA["g16"])
@@ -100,9 +105,34 @@ def test_ensemble_equivalence_with_its_first_order_offset(beta):
     def residual(n: int) -> float:
         total = round(n * mean_length(spectrum, beta))
         star = beta_for_mean_length(spectrum, total / n)
-        k2, k3 = _cumulants(SPECTRA["g16"], star)
-        c = -LOG2E * k3 / (2 * k2**2)
-        return n * (1 / temperature_at(_table("g16", n), total).value - star) - c
+        c, _ = _offset(spectrum, star)
+        return n * (1 / temperature_at(_table(spectrum, n), total).value - star) - c
 
     d, d2 = residual(500), residual(1000)
     assert d != 0.0 and abs(d2) <= 0.6 * abs(d), (d, d2)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_equilibrium_peak_sits_at_the_split_plus_its_offset(beta):
+    # canon and a 16-word code, N codewords each: the residual is O(1/N)
+    first, second = LengthSpectrum(SPECTRA["canon"]), random_complete_code(16, 1).spectrum()
+
+    def residual(n: int) -> float:
+        total = round(n * mean_length(first, beta) + n * mean_length(second, beta))
+        split = solve_equilibrium(TwoCodeSystem(first, n, second, n), total)
+        (c1, k1), (c2, k2) = _offset(first, split.beta_star), _offset(second, split.beta_star)
+        delta = math.log(2) * (c1 - c2) / (1 / k1 + 1 / k2)
+        t1, t2 = _table(first, n), _table(second, n)
+
+        def s(bits: int) -> float:
+            return t1.log2_count(bits) + t2.log2_count(total - bits)
+
+        # both codes have step 1: the parabola through the argmax and its
+        # two neighbours locates the continuous peak
+        best = max(range(n * first.l_min, n * first.l_max + 1), key=s)
+        lo, mid, hi = s(best - 1), s(best), s(best + 1)
+        peak = best + (lo - hi) / (2 * (lo - 2 * mid + hi))
+        return peak - split.bits_first - delta
+
+    d, d2 = residual(300), residual(3000)
+    assert d != 0.0 and abs(d2) <= 0.15 * abs(d), (d, d2)

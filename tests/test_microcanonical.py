@@ -270,6 +270,10 @@ def test_capacity_guard_charges_every_cell(monkeypatch):
 def test_count_messages_rejects_bad_n():
     with pytest.raises(ValueError):
         count_messages(CANON_SP, 0)
+    with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+        count_messages_brute(CANON, 0)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        list(iter_log_tables(CANON_SP, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ def test_residuals_meet_tolerance_across_targets():
 
 
 def test_unreachable_target_raises():
-    # -tanh is bounded by 1, so 1.5 can never be bracketed
-    with pytest.raises(ValueError, match="bracket"):
-        solve_decreasing(lambda x: -math.tanh(x), 1.5, df=lambda x: -1.0 / math.cosh(x) ** 2)
+    # -tanh lies in (-1, 1): 1.5 is never reached on the left, -1.5 never on the right
+    for target, side in ((1.5, "left"), (-1.5, "right")):
+        with pytest.raises(ValueError, match=f"could not bracket target {target} from the {side}"):
+            solve_decreasing(lambda x: -math.tanh(x), target, df=lambda x: -1.0 / math.cosh(x) ** 2)
 
 
 def test_nan_inside_bracket_raises():

@@ -12,8 +12,8 @@ beta = 1 the dyadic point T = 1.
 Exit codes: 0 success, 1 invalid input (bad document, prefix violation,
 usage), 2 infeasible parameter (outside the achievable or feasible range),
 3 capacity guard (exact counts for omega or equilibrium --brute, a prefix
-table, a --grid or a sampled message too large; for omega, retry with
---mode log).
+table, a generated code, a --grid or a sampled message too large; for
+omega, retry with --mode log).
 """
 
 from __future__ import annotations

@@ -17,12 +17,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
 from .errors import (
+    CapacityError,
     DecodeError,
     DuplicateCodewordError,
     DuplicateSymbolError,
@@ -35,6 +38,10 @@ __all__ = [*_EXPORTS["codes"]]
 
 # Tolerance for float-valued pmfs: normalization and dyadic comparison.
 PROB_TOL = 1e-12
+
+# random_complete_code refuses more leaves than this: each split pops from a
+# list, so the work grows as leaves**2, about a second at the cap.
+MAX_LEAVES = 2**16
 
 
 def _check_symbol(token) -> str:
@@ -161,10 +168,7 @@ class LengthSpectrum:
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "LengthSpectrum":
-        counts: dict[int, int] = {}
-        for length in lengths:
-            counts[length] = counts.get(length, 0) + 1
-        return cls(counts)
+        return cls(Counter(lengths))
 
     @property
     def degeneracy(self) -> dict[int, int]:
@@ -213,11 +217,8 @@ class LengthSpectrum:
     @property
     def lattice_step(self) -> int:
         """gcd of length differences; 0 for a degenerate spectrum."""
-        step = 0
         base = self.l_min
-        for length in self._counts:
-            step = gcd(step, length - base)
-        return step
+        return gcd(*(length - base for length in self._counts))
 
     def kraft_sum(self) -> Fraction:
         return sum(
@@ -248,7 +249,7 @@ class Code:
     codeword repeats, and no codeword is a proper prefix of another.  The
     prefix check sorts the codewords and compares lexicographic neighbours,
     which catches every violation because a string and its extensions are
-    adjacent in sorted order.
+    adjacent in sorted order, an order the code keeps for decode.
     """
 
     def __init__(self, mapping: Mapping[str, str]):
@@ -264,22 +265,19 @@ class Code:
             words[token] = word
         self._words = dict(sorted(words.items()))
 
-        seen: dict[str, str] = {}
+        self._decode_map: dict[str, str] = {}  # codeword -> symbol
         for token, word in self._words.items():
-            if word in seen:
+            if word in self._decode_map:
                 raise DuplicateCodewordError(
-                    f"symbols {seen[word]!r} and {token!r} share codeword {word!r}"
+                    f"symbols {self._decode_map[word]!r} and {token!r} share codeword {word!r}"
                 )
-            seen[word] = token
-        by_word = sorted(self._words.items(), key=lambda kv: kv[1])
-        for (tok_a, word_a), (tok_b, word_b) in zip(by_word, by_word[1:]):
+            self._decode_map[word] = token
+        self._sorted_words = ordered = sorted(self._decode_map)
+        for word_a, word_b in zip(ordered, ordered[1:]):
             if word_b.startswith(word_a):
-                raise PrefixViolationError(tok_a, tok_b, word_a, word_b)
-
-        self._decode_map = {w: s for s, w in self._words.items()}
-        # All proper prefixes of codewords; a growing buffer outside this set
-        # can never complete, so decoding fails fast.
-        self._live_prefixes = {w[:i] for w in self._decode_map for i in range(len(w))}
+                raise PrefixViolationError(
+                    self._decode_map[word_a], self._decode_map[word_b], word_a, word_b
+                )
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -319,6 +317,7 @@ class Code:
         """
         if any(c not in "01" for c in bits):
             raise DecodeError("input is not a binary string")
+        words = self._sorted_words
         out: list[str] = []
         buffer = ""
         for pos, bit in enumerate(bits):
@@ -327,7 +326,9 @@ class Code:
             if token is not None:
                 out.append(token)
                 buffer = ""
-            elif buffer not in self._live_prefixes:
+            # live iff the first codeword at or after the buffer extends it; past
+            # the end the last codeword, which sorts before the buffer, stands in
+            elif not words[bisect_left(words, buffer, 0, len(words) - 1)].startswith(buffer):
                 raise DecodeError(
                     f"bits {buffer!r} ending at position {pos + 1} match no codeword path "
                     f"(decoded {len(out)} symbols so far)"
@@ -412,12 +413,8 @@ def dump_code(code: Code, pmf: Pmf | None = None) -> str:
             p = pmf[token]
             if isinstance(p, Fraction):
                 den = p.denominator
-                if den & (den - 1) == 0:
-                    entry["prob"] = _dyadic_decimal(p)
-                else:
-                    entry["prob"] = float(p)
-            else:
-                entry["prob"] = p
+                p = _dyadic_decimal(p) if den & (den - 1) == 0 else float(p)
+            entry["prob"] = p
         entries.append(entry)
     return json.dumps({"code": entries}, indent=2) + "\n"
 
@@ -518,7 +515,7 @@ def random_complete_code(leaf_count: int, seed: int) -> Code:
     x000, x001, ... in lexicographic codeword order.
 
     Args:
-        leaf_count: number of codewords, at least 2.
+        leaf_count: number of codewords, 2 to MAX_LEAVES (CapacityError above).
         seed: 64-bit PRNG seed.
 
     Returns:
@@ -526,6 +523,8 @@ def random_complete_code(leaf_count: int, seed: int) -> Code:
     """
     if leaf_count < 2:
         raise ValueError("leaf_count must be at least 2 (a one-word prefix code is empty-word)")
+    if leaf_count > MAX_LEAVES:
+        raise CapacityError(f"{leaf_count} leaves exceed the generator's cap {MAX_LEAVES}")
     rng = random.Random(seed)
     leaves = ["0", "1"]
     while len(leaves) < leaf_count:

@@ -26,6 +26,7 @@ import math
 from collections import Counter, deque
 from itertools import compress, repeat
 from operator import add, mul
+from os.path import commonprefix
 from typing import NamedTuple
 
 from . import _EXPORTS
@@ -146,6 +147,29 @@ def _achievable_rows(spectrum: LengthSpectrum, n_symbols: int, budget: int) -> l
     return cols
 
 
+def _node_classes(words: list[str], shared: list[int]) -> Counter:
+    """(depth, ends) -> number of non-root code-tree nodes of that depth
+    whose codewords end that many bits below them, ends ascending.
+
+    One walk over the sorted codewords, shared[i] the common prefix of
+    words[i] and the word before it.  path[d - 1] holds the lengths of the
+    codewords under the open node of depth d; a node is classed when the
+    walk leaves it, and hands its lengths to its parent.
+    """
+    classes: Counter = Counter()
+    path: list[set[int]] = []
+    for w, c in [*zip(words, shared), ("", 0)]:  # the empty word closes every node
+        while len(path) > c:
+            depth, lengths = len(path), path.pop()
+            classes[depth, tuple(sorted(l - depth for l in lengths))] += 1
+            if path:
+                path[-1] |= lengths
+        path.extend(set() for _ in range(len(w) - 1 - c))
+        if path:
+            path[-1].add(len(w))
+    return classes
+
+
 def prefix_counts(
     code: Code, n_symbols: int, total_bits: int, n_max: int | None = None
 ) -> PrefixCountTable:
@@ -192,15 +216,18 @@ def prefix_counts(
         n_max = total_bits
     if not 0 <= n_max <= total_bits:
         raise ValueError("n_max must lie in [0, total_bits]")
-    words = code.words.values()
-    nodes = {w[:i] for w in words for i in range(len(w))}
-    needed = (n_symbols + 1) * (total_bits + 1 + 17 * len(nodes))
+    # the code tree's nodes: the root, and each codeword's proper prefixes
+    # past what it shares with the codeword sorting before it
+    words = sorted(code.words.values())
+    shared = [len(commonprefix(pair)) for pair in zip(["", *words], words)]
+    nodes = 1 + sum(len(w) - 1 - c for w, c in zip(words, shared))
+    needed = (n_symbols + 1) * (total_bits + 1 + 17 * nodes)
     if needed > MAX_REACH_CELLS:
         raise CapacityError(
             f"prefix table needs {needed} bytes of reachability cells and rows"
             f" (cap {MAX_REACH_CELLS})"
         )
-    steps = n_max * len(nodes) * (n_symbols + 1) * (spectrum.l_max + 1)
+    steps = n_max * nodes * (n_symbols + 1) * (spectrum.l_max + 1)
     if steps > MAX_PREFIX_STEPS:
         raise CapacityError(f"prefix table needs {steps:.3g} DP steps (cap {MAX_PREFIX_STEPS})")
 
@@ -210,11 +237,7 @@ def prefix_counts(
             f"no message of {n_symbols} codewords totals {total_bits} bits"
         )
 
-    below: dict[str, set[int]] = {}  # non-root node -> codeword ends below it
-    for w in words:
-        for i in range(1, len(w)):
-            below.setdefault(w[:i], set()).add(len(w) - i)
-    classes = Counter((len(node), tuple(sorted(ends))) for node, ends in below.items())
+    classes = _node_classes(words, shared)
     width = f"0{n_symbols + 1}b"
 
     def fits(mask: int) -> bytes:

@@ -11,7 +11,7 @@ entropy and discrete temperature from it.  Counting, entropy and temperature
 run on the standard library, and so does the most probable length of a
 table built from exact counts, which keeps the one found exactly as the
 counts went by.  numpy is imported inside the functions that use arrays:
-the iter_log_tables sweep, the sampler, the ndarray views of a table and
+the iter_log_tables sweep, the sampler, the ndarray readers of a table and
 the most probable length of a table built from floats.
 
 Units: lengths in bits, entropy in bits, temperature in bits per bit of
@@ -56,7 +56,7 @@ _SAMPLE_CHUNK_CELLS = 1 << 16
 
 
 def _index(table: LogEnsembleTable, total_bits: int) -> int:
-    """Index of total_bits in the table's arrays; -1 past either end or at
+    """Index of total_bits in the table's array; -1 past either end or at
     a length between two integers.  A whole-number float names its integer."""
     i = total_bits - table._offset
     return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
@@ -94,12 +94,12 @@ class LogEnsembleTable:
     iter_log_tables, or from log2 values given here) keeps None, and
     most_probable_length ranks its floats instead.
 
-    The counts live in an array('d') and the support, built on first use,
-    in an array('q'); support and log2_array() are ndarray views of them,
-    sharing their memory.
+    The counts live in an array('d'): log2_array() is an ndarray view of
+    it, sharing its memory, and every reader, support included, reads it as
+    it stands, so a write through the view reaches them all.
     """
 
-    __slots__ = ("n_symbols", "_offset", "_log2", "_support", "_peak")
+    __slots__ = ("n_symbols", "_offset", "_log2", "_peak")
 
     def __init__(self, n_symbols: int, offset: int, log2_counts: Iterable[float]):
         self.n_symbols = n_symbols
@@ -107,24 +107,14 @@ class LogEnsembleTable:
         if getattr(log2_counts, "typecode", None) != "d":
             log2_counts = array("d", log2_counts)
         self._log2 = log2_counts
-        self._support: array | None = None
         self._peak: int | None = None
-
-    def _achievable(self) -> array:
-        """Achievable total lengths, ascending, as an array('q')."""
-        if self._support is None:
-            offset = self._offset
-            self._support = array(
-                "q", [offset + i for i, v in enumerate(self._log2) if math.isfinite(v)]
-            )
-        return self._support
 
     @property
     def support(self) -> np.ndarray:
-        """Achievable total lengths, ascending."""
+        """Achievable total lengths, ascending, as int64."""
         import numpy as np
 
-        return np.frombuffer(self._achievable(), dtype=np.int64)
+        return np.flatnonzero(np.isfinite(self.log2_array())).astype(np.int64) + self._offset
 
     def count(self, total_bits: int) -> float:
         """2**log2_count(total_bits); inf once that passes the float range."""
@@ -171,8 +161,8 @@ class EnsembleTable(LogEnsembleTable):
         return self._coeffs[i] if i >= 0 else 0
 
     def items(self) -> Iterator[tuple[int, int]]:
-        """(total_bits, count) pairs over the support, ascending."""
-        return ((L, self._coeffs[L - self._offset]) for L in self._achievable())
+        """(total_bits, count) pairs over the nonzero counts, ascending."""
+        return ((self._offset + i, c) for i, c in enumerate(self._coeffs) if c)
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.items())
@@ -349,8 +339,9 @@ def _cell(table: LogEnsembleTable, total_bits: int) -> int:
     i = _index(table, total_bits)
     if i >= 0 and math.isfinite(table._log2[i]):
         return i
-    support = table._achievable()
-    where = f"achievable range {support[0]}..{support[-1]}" if support else _EMPTY
+    log2, offset = table._log2, table._offset
+    lo, hi = _nearest(log2, -1, 1), _nearest(log2, len(log2), -1)
+    where = f"achievable range {offset + lo}..{offset + hi}" if lo >= 0 else _EMPTY
     raise UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")
 
 

@@ -1,7 +1,8 @@
 """Shared hypothesis strategies and exact oracles for the property tests.
 
 kraft_spectra draws realizable length spectra and whole_codes the
-canonical prefix codes of small ones; exact_stats gives the canonical
+canonical prefix codes of small ones; prefix_codes draws prefix codes of
+arbitrary shape, complete or not; exact_stats gives the canonical
 cumulants of a spectrum as exact rationals, with log2 Z to about 60 digits,
 for the float paths to be checked against.
 """
@@ -51,6 +52,22 @@ def whole_codes():
     """Canonical codes of the kraft_spectra draws with at most 64 codewords,
     few enough to enumerate messages of."""
     return kraft_spectra().filter(lambda s: s.n_codewords <= 64).map(canonical_code)
+
+
+def prefix_codes(max_length: int = 7):
+    """Prefix codes of up to a dozen words of 1 to max_length bits, in any
+    shape and rarely complete: each drawn word is kept unless it is a
+    prefix of a kept word or has one."""
+
+    def keep(drawn):
+        words = []
+        for w in drawn:
+            if not any(w.startswith(v) or v.startswith(w) for v in words):
+                words.append(w)
+        return Code({f"s{i}": w for i, w in enumerate(words)})
+
+    word = st.text("01", min_size=1, max_size=max_length)
+    return st.lists(word, min_size=1, max_size=12).map(keep)
 
 
 def exact_stats(spectrum, beta: int) -> tuple[Decimal, Fraction, Fraction, Fraction]:

@@ -741,6 +741,12 @@ def test_gen_check_round_trip(capsys, tmp_path):
     assert got["kraft"] == "1" and got["optimal"] == "true"
 
 
+def test_gen_refuses_more_leaves_than_its_cap(capsys):
+    rc, out, err = run(capsys, "gen", "--leaves", "65537", "--seed", "1")
+    assert (rc, out) == (3, "")
+    assert err == "error: 65537 leaves exceed the generator's cap 65536\n"
+
+
 def test_gen_deterministic(capsys):
     _, out1, _ = run(capsys, "gen", "--leaves", "6", "--seed", "9")
     _, out2, _ = run(capsys, "gen", "--leaves", "6", "--seed", "9")

@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermocode import (
+    CapacityError,
     Code,
     DecodeError,
     DuplicateCodewordError,
@@ -27,7 +30,9 @@ from thermocode import (
     sample_messages,
     shannon_entropy,
 )
+from thermocode import codes
 from thermocode.codes import _kraft_ceiling
+from strategies import prefix_codes
 
 CANON = {"a": "0", "b": "10", "c": "11"}
 CANON_PMF = {"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}
@@ -265,6 +270,57 @@ def test_decode_rejects_non_binary():
         Code(CANON).decode("01a")
 
 
+def brute_decode(code: Code, bits: str) -> list[str]:
+    """Decoding by trying every codeword at each position, raising the
+    DecodeError Code.decode raises, for the same reason and at the same bit."""
+    words = code.words
+    out, pos = [], 0
+    while pos < len(bits):
+        hits = [s for s, w in words.items() if bits.startswith(w, pos)]
+        if hits:
+            out.append(hits[0])
+            pos += len(words[hits[0]])
+            continue
+        rest = bits[pos:]
+        if any(w.startswith(rest) for w in words.values()):
+            raise DecodeError(f"dangling suffix {rest!r} after decoding {len(out)} symbols")
+        k = next(k for k in range(1, len(rest) + 1)
+                 if not any(w.startswith(rest[:k]) for w in words.values()))
+        raise DecodeError(
+            f"bits {rest[:k]!r} ending at position {pos + k} match no codeword path "
+            f"(decoded {len(out)} symbols so far)"
+        )
+    return out
+
+
+def decoded(decode, bits: str) -> list[str] | str:
+    try:
+        return decode(bits)
+    except DecodeError as exc:
+        return str(exc)
+
+
+@st.composite
+def codes_and_bits(draw):
+    """A prefix code and a bit string: a message's encoding, then random bits."""
+    code = draw(prefix_codes())
+    message = draw(st.lists(st.sampled_from(code.symbols), max_size=8))
+    return code, code.encode(message) + draw(st.text("01", max_size=10))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=codes_and_bits())
+@example(case=(Code(CANON), "0110"))
+@example(case=(Code(CANON), "0111"))  # dangling suffix
+@example(case=(Code({"a": "00", "b": "01"}), "10"))  # dead branch at the first bit
+@example(case=(Code({"a": "00", "b": "01"}), "0010"))  # dead branch after a word
+@example(case=(Code({"a": "00", "b": "010"}), "011"))  # incomplete: sorts past the last word
+@example(case=(Code({"a": "0" * 5}), "0000"))  # one word, dangling
+def test_decode_matches_trying_every_codeword(case):
+    code, bits = case
+    assert decoded(code.decode, bits) == decoded(lambda b: brute_decode(code, b), bits)
+
+
 def test_encode_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         Code(CANON).encode(["a", "z"])
@@ -498,6 +554,18 @@ def test_generator_smallest_cases():
         random_complete_code(1, 0)
     with pytest.raises(ValueError):
         random_complete_code(0, 0)
+
+
+def test_generator_refuses_more_leaves_than_its_cap(monkeypatch):
+    # refused before any split, however many leaves are asked for
+    with pytest.raises(CapacityError, match=f"cap {codes.MAX_LEAVES}$"):
+        random_complete_code(codes.MAX_LEAVES + 1, 1)
+    with pytest.raises(CapacityError):
+        random_complete_code(10**18, 1)
+    monkeypatch.setattr(codes, "MAX_LEAVES", 8)
+    assert len(random_complete_code(8, 1)) == 8
+    with pytest.raises(CapacityError, match="^9 leaves exceed the generator's cap 8$"):
+        random_complete_code(9, 1)
 
 
 def test_generator_symbol_names_follow_codeword_order():

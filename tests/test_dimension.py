@@ -1,9 +1,12 @@
 """Tests for box dimensions, their limits, and empirical prefix counting."""
 
 import math
+import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
+from os.path import commonprefix
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from thermocode import (
 )
 from thermocode import dimension
 from thermocode.gibbs import _partition, _stats
-from strategies import exact_stats, kraft_spectra, whole_codes
+from strategies import exact_stats, kraft_spectra, prefix_codes, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
 CANON_SP = CANON.spectrum()
@@ -302,6 +305,48 @@ def test_prefix_counts_step_guard(monkeypatch):
     monkeypatch.setattr(dimension, "_achievable_rows", built)
     with pytest.raises(CapacityError, match=r"^prefix table needs 1\.74e\+10 DP steps"):
         prefix_counts(random_complete_code(4096, 1), 100, 1501)
+
+
+def prefix_string_classes(code: Code) -> tuple[int, Counter]:
+    """The code tree's node count and node classes, read off every proper
+    prefix of every codeword as its own string."""
+    words = code.words.values()
+    below: dict[str, set[int]] = {}
+    for w in words:
+        for i in range(1, len(w)):
+            below.setdefault(w[:i], set()).add(len(w) - i)
+    classes = Counter((len(node), tuple(sorted(ends))) for node, ends in below.items())
+    return 1 + len(below), classes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(code=prefix_codes(12))
+@example(code=CANON)
+@example(code=Code({"a": "0" * 9}))  # one word: a chain of nodes
+@example(code=Code({"a": "0000", "b": "0001", "c": "1"}))  # a shared stem
+@example(code=random_complete_code(64, 3))
+def test_node_classes_match_the_prefix_strings(code):
+    words = sorted(code.words.values())
+    shared = [len(commonprefix(pair)) for pair in zip(["", *words], words)]
+    nodes, classes = prefix_string_classes(code)
+    assert 1 + sum(len(w) - 1 - c for w, c in zip(words, shared)) == nodes
+    assert dimension._node_classes(words, shared) == classes
+
+
+def test_prefix_counts_refuses_a_long_codeword_at_once():
+    # one 20,000-bit word: 20,000 nodes and 1.6e13 DP steps at N = 1, refused
+    # with nothing built per node (its prefixes as strings would take 200 MB);
+    # with n_max = 0 both guards admit it
+    code = Code({"a": "0" * 20_000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^prefix table needs 1\.6e\+13 DP steps"):
+            prefix_counts(code, 1, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert prefix_counts(code, 1, 20_000, n_max=0).counts == (1,)
 
 
 def test_prefix_counts_truncated_depth():

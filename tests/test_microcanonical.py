@@ -180,6 +180,33 @@ def test_gappy_support_has_holes():
     assert table.count(6) == 16  # length-1 word with any of the eight 5-bit words, both orders
 
 
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("build", ["exact", "log", "sweep"])
+def test_a_write_through_log2_array_reaches_every_reader(build, read_first):
+    # log2_array() is a writable view of the counts: support, log2_count and
+    # the refusal's range read it as it stands, whether or not support was
+    # read before; an exact table's items() read its integers
+    sp = LengthSpectrum({1: 1, 2: 2})
+    table = {
+        "exact": lambda: count_messages(sp, 3),
+        "log": lambda: count_messages_log(sp, 3),
+        "sweep": lambda: list(iter_log_tables(sp, 3))[-1],
+    }[build]()
+    if read_first:
+        assert table.support.tolist() == [3, 4, 5, 6]
+    for writes, support in [({0: -math.inf, 3: -math.inf}, [4, 5]), ({3: 0.0}, [4, 5, 6])]:
+        for i, value in writes.items():
+            table.log2_array()[i] = value
+        assert table.support.tolist() == support
+        assert [L for L in range(2, 8) if table.log2_count(L) > -math.inf] == support
+        with pytest.raises(UnachievableLengthError, match=f"range {support[0]}..{support[-1]}\\)$"):
+            entropy_at(table, 3)
+        assert entropy_at(table, support[-1]) == table.log2_count(support[-1])
+    if build == "exact":
+        assert list(table.items()) == [(L, table.count(L)) for L in range(3, 7)]
+        assert list(table.items()) == [(3, 1), (4, 6), (5, 12), (6, 8)]
+
+
 def test_probability_conservation_exact():
     # sum of count(L) * 2**-L over the table equals (Kraft sum)**N exactly
     for code, n in ((CANON, 12), (GAPPY, 6), (Code({"a": "0", "b": "10"}), 9)):

@@ -358,32 +358,61 @@ def test_oversized_sample_is_refused_before_numpy_loads(tmp_path):
     assert "1000001 symbols" in proc.stderr
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-def test_sample_memory_is_a_small_constant_over_numpy(tmp_path):
-    # a million draws cost a few MB over loading numpy's generator.  Linux
-    # folds an exec-ing process's high-water RSS into the new program's
-    # ru_maxrss, so the jobs are spawned from a small -S interpreter, not
-    # from this large test process
-    doc = tmp_path / "canon.json"
-    doc.write_text('{"code": [{"symbol": "a", "codeword": "0"}, {"symbol": "b", "codeword": "10"}, {"symbol": "c", "codeword": "11"}]}')
-    jobs = [
-        ["-c", "import numpy.random; numpy.random.default_rng(7)"],
-        ["-m", "thermocode.cli", "sample", "--code", str(doc), "-N", "4",
-         "--draws", "1000000", "--seed", "7", "--focus-L", "6"],
-    ]
-    got = probe(
+CANON_DOC = json.dumps({"code": [{"symbol": "a", "codeword": "0"}, {"symbol": "b", "codeword": "10"}, {"symbol": "c", "codeword": "11"}]})
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+
+
+def peak_mb(jobs) -> list[list]:
+    """[exit code, peak RSS in MB] of `python *args` for each args in jobs,
+    stdout to devnull.  Linux folds an exec-ing process's high-water RSS
+    into the new program's ru_maxrss, so the jobs are spawned from a small
+    -S interpreter, not from this large test process."""
+    return probe(
         "import json, os, sys\n"
         "def peak_mb(args):\n"
         "    out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
         "    pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ, file_actions=out)\n"
         "    _, status, usage = os.wait4(pid, 0)\n"
-        "    assert os.waitstatus_to_exitcode(status) == 0, args\n"
-        "    return usage.ru_maxrss / 1024\n"
+        "    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024\n"
         f"print(json.dumps([peak_mb(args) for args in {jobs!r}]))\n",
         "-S",
     )
-    numpy_mb, sample_mb = got
-    assert sample_mb - numpy_mb < 16, got
+
+
+@linux_only
+def test_sample_memory_is_a_small_constant_over_numpy(tmp_path):
+    # a million draws cost a few MB over loading numpy's generator
+    doc = tmp_path / "canon.json"
+    doc.write_text(CANON_DOC)
+    jobs = [
+        ["-c", "import numpy.random; numpy.random.default_rng(7)"],
+        ["-m", "thermocode.cli", "sample", "--code", str(doc), "-N", "4",
+         "--draws", "1000000", "--seed", "7", "--focus-L", "6"],
+    ]
+    (numpy_rc, numpy_mb), (sample_rc, sample_mb) = peak_mb(jobs)
+    assert numpy_rc == sample_rc == 0
+    assert sample_mb - numpy_mb < 16, (numpy_mb, sample_mb)
+
+
+@linux_only
+def test_a_long_codeword_costs_linear_memory(tmp_path):
+    # one 20,000-bit codeword: check keeps no set of its prefixes (208 MB
+    # as strings), and prefixes refuses its 1.6e13 DP steps before building
+    # anything per code-tree node
+    canon, long = tmp_path / "canon.json", tmp_path / "long.json"
+    canon.write_text(CANON_DOC)
+    long.write_text(json.dumps({"code": [{"symbol": "a", "codeword": "0" * 20_000}]}))
+    main = ["-m", "thermocode.cli"]
+    jobs = [
+        [*main, "check", "--code", str(canon)],
+        [*main, "check", "--code", str(long)],
+        [*main, "prefixes", "--code", str(long), "-N", "1", "-L", "20000"],
+    ]
+    (base_rc, base_mb), (check_rc, check_mb), (refused_rc, refused_mb) = peak_mb(jobs)
+    assert (base_rc, check_rc, refused_rc) == (0, 0, 3)
+    assert check_mb - base_mb < 10, (base_mb, check_mb)
+    assert refused_mb - base_mb < 10, (base_mb, refused_mb)
 
 
 def test_import_leaves_sys_modules_without_numpy():

@@ -145,7 +145,8 @@ def _window_sums(lead: Iterator[int], trail: Iterator[int], window: float) -> It
     runs over each, lead's w + 1 cells ahead of trail's (all of it ahead
     for a window of inf or larger), and each window sum is their
     difference.  So only the running sums are kept, never a list of the
-    cells, and the big-integer work is linear in the cells.
+    cells, and the big-integer work is linear in the cells.  A window that
+    reaches the last cell may take as lead one cell, the total.
     """
     ahead = sum(islice(lead, int(window) if window < sys.maxsize else None))
     behind = 0
@@ -173,9 +174,15 @@ def _cmd_omega(args):
         # tee holds the w + 1 counts between the passes, of at most
         # N*log2(n_codewords) bits each: while they weigh no more than the
         # rows' float64 S column (64 bits a cell), one recurrence feeds both
-        # passes; past that each pass reruns it, so memory stays flat.
-        heavy = (args.window + 1) * math.log2(spectrum.n_codewords) > 64 * (spectrum.l_max - spectrum.l_min)
-        passes = (_miller(spectrum, n), _miller(spectrum, n)) if heavy else tee(_miller(spectrum, n))
+        # passes; past that each pass reruns it, so memory stays flat.  A
+        # window that reaches the last cell leads with the total of the
+        # counts, n_codewords**N (N < 1 is left to _miller's refusal).
+        span = spectrum.l_max - spectrum.l_min
+        if n >= 1 and args.window >= n * span:
+            passes = iter((spectrum.n_codewords**n,)), _miller(spectrum, n)
+        else:
+            heavy = (args.window + 1) * math.log2(spectrum.n_codewords) > 64 * span
+            passes = (_miller(spectrum, n), _miller(spectrum, n)) if heavy else tee(_miller(spectrum, n))
         cells = _window_sums(*passes, args.window)
     offset, support, omegas, entropies = n * spectrum.l_min, array("q"), [], array("d")
     for j, total in cells:

@@ -260,7 +260,7 @@ class Code:
             _check_symbol(token)
             if not isinstance(word, str) or not word:
                 raise ParseError(f"codeword of {token!r} must be a non-empty string")
-            if any(c not in "01" for c in word):
+            if word.strip("01"):
                 raise ParseError(f"codeword {word!r} of {token!r} has non-binary characters")
             words[token] = word
         self._words = dict(sorted(words.items()))
@@ -315,7 +315,7 @@ class Code:
         Raises DecodeError if the bits wander off every codeword path or if
         a non-empty suffix is left dangling at the end.
         """
-        if any(c not in "01" for c in bits):
+        if bits.strip("01"):
             raise DecodeError("input is not a binary string")
         words = self._sorted_words
         out: list[str] = []

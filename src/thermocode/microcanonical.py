@@ -181,9 +181,8 @@ class TemperatureEstimate(NamedTuple):
 
     value is dL/dS from a central difference over the nearest achievable
     neighbours; one_sided marks boundary lengths where only one neighbour
-    exists.  Infinite values carry the sign convention: zero entropy slope
-    reads +inf below the entropy peak and -inf above it (and +inf at the
-    peak itself).
+    exists.  A zero entropy slope reads as an infinity whose sign tells
+    the side of the entropy peak (the rule is stated once, in _slope).
     """
 
     value: float
@@ -361,39 +360,43 @@ def entropy_at(table: LogEnsembleTable, total_bits: int) -> float:
     return table._log2[_cell(table, total_bits)]
 
 
-def _temperatures(lengths: Sequence[int], entropies: Sequence[float]) -> list[float]:
-    """Discrete temperature dL/dS at every point of an ascending (L, S) series.
+def _slope(lengths: Sequence[int], entropies: Sequence[float], lo: int, i: int, hi: int, peak=None) -> float:
+    """The temperature dL/dS at point i of an ascending (L, S) series, from
+    its neighbours lo <= i <= hi: the module's one rule.  A zero difference
+    ds = entropies[hi] - entropies[lo] gives +inf at or below the entropy
+    peak, the first maximum of entropies (searched for only then, unless
+    given), and -inf above it.  Otherwise the result is
+    (lengths[hi] - lengths[lo]) / ds in plain IEEE floats: an infinite or
+    nan difference divides as it does in C.
+    """
+    ds = entropies[hi] - entropies[lo]
+    if ds == 0.0:
+        if peak is None:
+            peak = entropies.index(max(entropies))
+        return math.inf if i <= peak else -math.inf
+    return (lengths[hi] - lengths[lo]) / ds
 
-    Central differences over the neighbouring points, one-sided at the two
-    ends.  A zero entropy difference yields a signed infinity: positive at
-    or below the entropy peak (its first maximum), negative above it.  A
-    single point has no temperature and yields nan.  Plain IEEE floats:
-    an infinite or nan difference divides as it does in C.
+
+def _temperatures(lengths: Sequence[int], entropies: Sequence[float]) -> list[float]:
+    """Discrete temperature at every point of an ascending (L, S) series,
+    by _slope: central differences over the neighbouring points, one-sided
+    at the two ends.  A single point has no temperature and yields nan.
     """
     n = len(lengths)
     if n < 2:
         return [math.nan] * n
-    peak = max(range(n), key=entropies.__getitem__)  # the first maximum
-    out = []
-    for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)  # one-sided at the ends
-        ds = entropies[hi] - entropies[lo]
-        if ds == 0.0:
-            out.append(math.inf if i <= peak else -math.inf)
-        else:
-            out.append((lengths[hi] - lengths[lo]) / ds)
-    return out
+    peak = entropies.index(max(entropies))  # found once, as _slope finds it
+    return [_slope(lengths, entropies, max(i - 1, 0), i, min(i + 1, n - 1), peak) for i in range(n)]
 
 
 def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstimate:
-    """Discrete temperature dL/dS at an achievable total length.
+    """Discrete temperature dL/dS at an achievable total length, by _slope.
 
-    Uses the central difference over the nearest achievable neighbours;
-    at the ends of the support it falls back to a one-sided difference and
-    flags the result.  A zero entropy difference yields a signed infinity:
-    positive at or below the entropy peak, negative above it.  This is
+    A central difference over the nearest achievable neighbours; at the
+    ends of the support a one-sided one, and the result says so.  This is
     _temperatures over the support at one point, reading only the cell and
-    its two neighbours (and the peak, for a zero difference).
+    its two neighbours (and the peak, on a zero difference: unachievable
+    cells hold -inf and never win).
     """
     log2 = table._log2
     i = _cell(table, total_bits)
@@ -402,13 +405,7 @@ def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstim
         raise UnachievableLengthError(
             "support has a single achievable length; no temperature is defined"
         )
-    ds = log2[hi] - log2[lo]
-    if ds == 0.0:
-        # the first maximum: unachievable cells hold -inf and never win
-        value = math.inf if i <= log2.index(max(log2)) else -math.inf
-    else:
-        value = (hi - lo) / ds
-    return TemperatureEstimate(value, lo == i or hi == i)
+    return TemperatureEstimate(_slope(range(len(log2)), log2, lo, i, hi), lo == i or hi == i)
 
 
 def most_probable_length(table: LogEnsembleTable) -> int:

@@ -142,8 +142,9 @@ def test_omega_infinite_window_sums_tails(capsys, canon_path):
     (["0", "10", "11"], 12),  # canon
     (None, 6),  # g16: gen --leaves 16 --seed 7
     (["0", "111"], 8),  # step2: lattice step 2
+    (["0", "10", "11"], 100),  # canon, where --window 60 reruns the recurrence
 ])
-@pytest.mark.parametrize("window", ["0.5", "3", "inf"])
+@pytest.mark.parametrize("window", ["0.5", "3", "60", "inf"])
 def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, window):
     code = random_complete_code(16, 7) if words is None else Code({f"s{i}": w for i, w in enumerate(words)})
     path = tmp_path / "code.json"
@@ -158,6 +159,27 @@ def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, windo
             want = sum(c for M, c in counts.items() if int(L) <= M <= int(L) + float(window))
             assert omega == (str(want) if mode == "exact" else "")
             assert log2_omega == entropy == _fmt(math.log2(want))
+
+
+@pytest.mark.parametrize("mode", ["exact", "log"])
+def test_omega_window_runs_the_recurrence_once_unless_it_reruns(capsys, canon_path, monkeypatch, mode):
+    # canon at N = 100 spans 100 cells: no window and --window 3 (tee) run
+    # Miller's recurrence once, --window 60 runs it for each prefix sum, and
+    # a window that reaches the last cell takes the total in closed form
+    from thermocode import microcanonical
+
+    calls = []
+    miller = microcanonical._miller
+
+    def counted(*args):
+        calls.append(args)
+        return miller(*args)
+
+    monkeypatch.setattr(microcanonical, "_miller", counted)
+    for window, runs in (("0", 1), ("3", 1), ("60", 2), ("100", 1), ("inf", 1)):
+        calls.clear()
+        assert run(capsys, "omega", "--code", canon_path, "-N", "100", "--mode", mode, "--window", window)[0] == 0
+        assert len(calls) == runs, window
 
 
 def _omega_columns(path: str, n: int, window: str, mode: str) -> list[str]:

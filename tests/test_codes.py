@@ -218,8 +218,11 @@ def test_code_prefix_violation_found_for_nonadjacent_insertion():
 def test_code_rejects_duplicates_and_junk():
     with pytest.raises(DuplicateCodewordError):
         Code({"a": "10", "b": "10"})
-    with pytest.raises(ParseError):
-        Code({"a": "10", "b": "1x"})
+    # a bad character at the end, the start or in the middle, or a digit
+    # that is not ASCII
+    for junk in ("1x", "x1", "0x1", "0\uff121"):
+        with pytest.raises(ParseError, match="has non-binary characters"):
+            Code({"a": "10", "b": junk})
     with pytest.raises(ParseError):
         Code({"a": ""})
     with pytest.raises(ParseError):
@@ -266,8 +269,9 @@ def test_decode_dead_branch_fails():
 
 
 def test_decode_rejects_non_binary():
-    with pytest.raises(DecodeError):
-        Code(CANON).decode("01a")
+    for junk in ("01a", "a01", "0a1", "0\uff121"):
+        with pytest.raises(DecodeError, match="input is not a binary string"):
+            Code(CANON).decode(junk)
 
 
 def brute_decode(code: Code, bits: str) -> list[str]:

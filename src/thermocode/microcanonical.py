@@ -47,12 +47,11 @@ MAX_BRUTE_MESSAGES = 10_000_000
 # The sampler refuses a message of more symbols than this.
 MAX_SAMPLE_SYMBOLS = 1_000_000
 
-# The sampler draws whole messages in chunks of about this many symbols (a
-# longer message alone), so it holds a few int64 arrays of max(2**16, N)
-# cells, 512 KiB each at N <= 2**16, and a histogram over the spread of one
-# chunk's totals.  rng.choice's stream does not depend on the chunk size, so
-# neither does the report.
-_SAMPLE_CHUNK_CELLS = 1 << 16
+# The sampler draws about this many symbols at a time: whole messages, or
+# one longer message in pieces of this many.  Each int64 array is 64 KiB,
+# below glibc's dynamic mmap threshold, so the heap keeps few of them
+# resident.  rng.choice's stream does not depend on the size, nor the report.
+_SAMPLE_CHUNK_CELLS = 1 << 13
 
 
 def _index(table: LogEnsembleTable, total_bits: int) -> int:
@@ -463,10 +462,11 @@ def sample_messages(
     focus_total set, every sampled message whose coded length hits that
     value is recorded verbatim, giving the conditional distribution over
     coded messages at fixed total length.  A message of more than
-    MAX_SAMPLE_SYMBOLS symbols raises CapacityError.  Messages are drawn in
-    chunks of max(1, _SAMPLE_CHUNK_CELLS // n_symbols), so the working set
-    is a few arrays of max(_SAMPLE_CHUNK_CELLS, n_symbols) cells and a
-    histogram over the spread of one chunk's totals, whatever the draws.
+    MAX_SAMPLE_SYMBOLS symbols raises CapacityError.  Blocks of max(1,
+    _SAMPLE_CHUNK_CELLS // n_symbols) messages are drawn in pieces of at most
+    _SAMPLE_CHUNK_CELLS symbols, so the working set is a few arrays of that
+    many cells, a histogram over the spread of one block's totals and, when
+    focusing, one block's symbols in their narrowest type, whatever the draws.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
@@ -484,34 +484,39 @@ def sample_messages(
     lengths = np.array([len(w) for w in words], dtype=np.int64)
     probs = np.array([float(p) for _, p in pmf.items()], dtype=np.float64)
     probs = probs / probs.sum()  # exact-to-float residue
+    narrow = np.min_scalar_type(len(words) - 1)
+    row_key = np.dtype((np.void, narrow.itemsize * n_symbols))  # a message as one item
 
     hist: Counter[int] = Counter()
-    conditional: Counter[str] | None = Counter() if focus_total is not None else None
-    chunk = min(draws, max(1, _SAMPLE_CHUNK_CELLS // n_symbols))
+    keys: Counter[bytes] = Counter()
+    block = max(1, _SAMPLE_CHUNK_CELLS // n_symbols)
+    piece = min(n_symbols, _SAMPLE_CHUNK_CELLS)
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
-        idx = rng.choice(len(words), size=(m, n_symbols), p=probs)
-        totals = lengths[idx].sum(axis=1)
+        m = min(block, draws - done)
+        totals = np.zeros(m, dtype=np.int64)
+        parts = []
+        for col in range(0, n_symbols, piece):
+            idx = rng.choice(len(words), size=(m, min(piece, n_symbols - col)), p=probs)
+            totals += lengths[idx].sum(axis=1)
+            if focus_total is not None:
+                parts.append(idx.astype(narrow))
         lo = int(totals.min())
-        binc = np.bincount(totals - lo)  # the spread of this chunk's totals
+        binc = np.bincount(totals - lo)  # the spread of this block's totals
         nz = np.flatnonzero(binc)
         hist.update(dict(zip((nz + lo).tolist(), binc[nz].tolist())))
-        if conditional is not None:
-            # sort the hits so equal messages sit together, then join each
-            # distinct message once and add its run length
-            hits = idx[totals == focus_total]
-            hits = hits[np.lexsort(hits.T[::-1])]
-            new_run = np.r_[len(hits) > 0, np.any(hits[1:] != hits[:-1], axis=1)]
-            starts = np.flatnonzero(new_run)
-            runs = np.diff(np.r_[starts, len(hits)])
-            for row, run in zip(hits[starts].tolist(), runs.tolist()):
-                conditional["".join([words[i] for i in row])] += run
+        if focus_total is not None and (hit := totals == focus_total).any():
+            # each hit message as one packed key, joined into bits at the end
+            keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
         done += m
+    conditional = None
+    if focus_total is not None:
+        bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
+        conditional = dict(sorted(zip(bits, keys.values())))
     return SampleReport(
         draws=draws,
         n_symbols=n_symbols,
         histogram=dict(sorted(hist.items())),
         focus_total=focus_total,
-        conditional_counts=dict(sorted(conditional.items())) if conditional is not None else None,
+        conditional_counts=conditional,
     )

@@ -862,6 +862,15 @@ def test_sampling_conditional_focus():
     assert len(cond) == count_messages(CANON_SP, 3).count(4) == 6
 
 
+def replayed_messages(code, pmf, n, draws, seed) -> list[str]:
+    """The draws as one (draws, n) rng.choice through the same generator,
+    each row joined into its bits: the sampler's oracle."""
+    words = [code.codeword(s) for s in code.symbols]
+    probs = np.array([float(p) for _, p in pmf.items()])
+    rows = np.random.default_rng(seed).choice(len(words), size=(draws, n), p=probs / probs.sum())
+    return ["".join(words[i] for i in row) for row in rows.tolist()]
+
+
 def test_sampling_focus_tally_matches_per_row_counter():
     # one chunk of draws, replayed row by row through the same generator
     code = random_complete_code(6, 3)
@@ -872,37 +881,38 @@ def test_sampling_focus_tally_matches_per_row_counter():
     report = sample_messages(code, pmf, n, draws, seed=11, focus_total=focus)
     assert report.histogram == first.histogram
 
-    words = [code.codeword(s) for s in code.symbols]
-    probs = np.array([float(p) for _, p in pmf.items()])
-    rows = np.random.default_rng(11).choice(len(words), size=(draws, n), p=probs / probs.sum())
-    want: Counter[str] = Counter()
-    for row in rows.tolist():
-        bits = "".join(words[i] for i in row)
-        if len(bits) == focus:
-            want[bits] += 1
+    want = Counter(bits for bits in replayed_messages(code, pmf, n, draws, seed=11) if len(bits) == focus)
     assert report.conditional_counts == dict(want)
     assert len(want) > 1 and max(want.values()) > 1
 
 
 def test_sampling_report_does_not_depend_on_chunk_size(monkeypatch):
-    # the same seed drawn in many uneven chunks and in one chunk
-    code = random_complete_code(6, 3)
-    pmf = dyadic_pmf(code)
-    n, draws = 4, 5_000
-    focus = max(sample_messages(code, pmf, n, draws, seed=5).histogram.items(), key=lambda kv: kv[1])[0]
-    reports = []
-    for cells in (n - 1, 999, 4_000, n * draws):  # n - 1: one message per chunk
-        monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
-        reports.append(sample_messages(code, pmf, n, draws, seed=5, focus_total=focus))
-    assert all(r == reports[0] for r in reports)
-    assert len(reports[0].conditional_counts) > 1
+    # the same seed drawn in pieces of one message (cells 3, 7 and 9 below
+    # n), one message per block, many uneven blocks and one block, each
+    # against the row-by-row replay; 300 words make each symbol's key two
+    # bytes wide
+    n, draws = 10, 3_000
+    for leaves in (6, 300):
+        code = random_complete_code(leaves, 3)
+        pmf = dyadic_pmf(code)
+        replay = replayed_messages(code, pmf, n, draws, seed=5)
+        hist = Counter(map(len, replay))
+        focus = max(hist, key=hist.get)
+        want = Counter(bits for bits in replay if len(bits) == focus)
+        for cells in (3, 7, n - 1, n, 999, n * draws):
+            monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
+            report = sample_messages(code, pmf, n, draws, seed=5, focus_total=focus)
+            assert report.histogram == dict(sorted(hist.items()))
+            assert report.conditional_counts == dict(want)
+            assert list(report.conditional_counts) == sorted(want)
+        assert len(code.symbols) == leaves and len(want) > 1
 
 
 @pytest.mark.parametrize("cells", [4, 999, 1 << 16])
 def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
-    # l_min = 2, so every total sits well above 0 and a chunk's histogram
+    # l_min = 2, so every total sits well above 0 and a block's histogram
     # is offset by its smallest total; cells = 4 < n draws one message per
-    # chunk, 999 many uneven chunks, 2**16 one chunk
+    # block in pieces of 4 and 1, 999 many uneven blocks, 2**16 one block
     code = Code({"a": "00", "b": "01", "c": "100", "d": "101", "e": "1100", "f": "1101", "g": "111"})
     pmf = dyadic_pmf(code)
     n, draws = 5, 3_000
@@ -935,7 +945,7 @@ def test_sampling_refuses_a_message_longer_than_the_cap(monkeypatch):
         sample_messages(CANON, pmf, 11, 5, seed=1)
     report = sample_messages(CANON, pmf, 10, 5, seed=1, focus_total=15)
     assert sum(report.histogram.values()) == 5
-    # a message longer than a chunk but within the cap is drawn alone in
-    # its chunk, and reports what one chunk of all the draws reports
+    # a message longer than a chunk but within the cap is drawn alone, in
+    # pieces of a chunk, and reports what one chunk of all the draws reports
     monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", 3)
     assert sample_messages(CANON, pmf, 10, 5, seed=1, focus_total=15) == report

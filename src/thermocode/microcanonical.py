@@ -50,7 +50,8 @@ MAX_SAMPLE_SYMBOLS = 1_000_000
 # The sampler draws about this many symbols at a time: whole messages, or
 # one longer message in pieces of this many.  Each int64 array is 64 KiB,
 # below glibc's dynamic mmap threshold, so the heap keeps few of them
-# resident.  rng.choice's stream does not depend on the size, nor the report.
+# resident.  rng.choice reads its uniforms in C order, so no report depends
+# on this size.
 _SAMPLE_CHUNK_CELLS = 1 << 13
 
 
@@ -509,14 +510,11 @@ def sample_messages(
             # each hit message as one packed key, joined into bits at the end
             keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
         done += m
-    conditional = None
-    if focus_total is not None:
-        bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
-        conditional = dict(sorted(zip(bits, keys.values())))
+    bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
     return SampleReport(
         draws=draws,
         n_symbols=n_symbols,
         histogram=dict(sorted(hist.items())),
         focus_total=focus_total,
-        conditional_counts=conditional,
+        conditional_counts=dict(sorted(zip(bits, keys.values()))) if focus_total is not None else None,
     )

@@ -918,11 +918,7 @@ def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
     n, draws = 5, 3_000
     monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", cells)
     report = sample_messages(code, pmf, n, draws, seed=13)
-
-    lengths = np.array([len(code.codeword(s)) for s in code.symbols])
-    probs = np.array([float(p) for _, p in pmf.items()])
-    rows = np.random.default_rng(13).choice(len(lengths), size=(draws, n), p=probs / probs.sum())
-    want = Counter(lengths[rows].sum(axis=1).tolist())
+    want = Counter(map(len, replayed_messages(code, pmf, n, draws, seed=13)))
     assert report.histogram == dict(sorted(want.items()))
     assert min(want) >= 2 * n and len(want) > 5
 

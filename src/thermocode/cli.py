@@ -25,7 +25,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, islice, starmap, tee
+from itertools import chain, islice, repeat, starmap, tee
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -141,20 +141,19 @@ def _cmd_check(args):
 def _window_sums(lead: Iterator[int], trail: Iterator[int], window: float) -> Iterator[tuple[int, int]]:
     """(j, exact sum of cells j..j+w) at each nonzero cell j, w = int(window).
 
-    lead and trail are two passes over the same dense cells.  A prefix sum
-    runs over each, lead's w + 1 cells ahead of trail's (all of it ahead
-    for a window of inf or larger), and each window sum is their
-    difference.  So only the running sums are kept, never a list of the
-    cells, and the big-integer work is linear in the cells.  A window that
-    reaches the last cell may take as lead one cell, the total.
+    lead and trail are two passes over the same dense cells, lead's w + 1
+    cells ahead of trail's (all of it ahead for a window of inf or larger).
+    One running sum holds the window: at each cell it takes lead's next
+    cell and, once yielded, gives back trail's.  So no list of the cells is
+    kept, and each cell costs two big-integer steps.  A window that reaches
+    the last cell may take as lead one cell, the total.
     """
-    ahead = sum(islice(lead, int(window) if window < sys.maxsize else None))
-    behind = 0
+    running = sum(islice(lead, int(window) if window < sys.maxsize else None))
     for j, c in enumerate(trail):
-        ahead += next(lead, 0)  # the sum of cells 0..j+w
+        running += next(lead, 0)  # the sum of cells j..j+w
         if c:
-            yield j, ahead - behind
-        behind += c
+            yield j, running
+            running -= c
 
 
 def _cmd_omega(args):
@@ -184,12 +183,14 @@ def _cmd_omega(args):
             heavy = (args.window + 1) * math.log2(spectrum.n_codewords) > 64 * span
             passes = (_miller(spectrum, n), _miller(spectrum, n)) if heavy else tee(_miller(spectrum, n))
         cells = _window_sums(*passes, args.window)
+    # a log row is three 8-byte array cells: L, S and T
     offset, support, omegas, entropies = n * spectrum.l_min, array("q"), [], array("d")
     for j, total in cells:
         support.append(offset + j)
-        omegas.append(total if exact else "")
+        if exact:
+            omegas.append(total)
         entropies.append(math.log2(total))
-    rows = zip(support, omegas, entropies, entropies, _temperatures(support, entropies))
+    rows = zip(support, omegas if exact else repeat(""), entropies, entropies, _temperatures(support, entropies))
     return _csv("L,omega,log2_omega,S,T", rows), ()
 
 

@@ -149,7 +149,7 @@ class LengthSpectrum:
     condition for a binary prefix code with these lengths to exist.
     """
 
-    __slots__ = ("_counts", "_log2_degeneracy")
+    __slots__ = ("_counts",)
 
     def __init__(self, counts: Mapping[int, int]):
         if not counts:
@@ -164,7 +164,6 @@ class LengthSpectrum:
         self._counts = dict(sorted(clean.items()))
         if _kraft_ceiling(self._counts)[0] > 1:
             raise ValueError("Kraft sum exceeds 1: no prefix code has these lengths")
-        self._log2_degeneracy = tuple(map(math.log2, self._counts.values()))  # for gibbs._partition
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "LengthSpectrum":

@@ -377,16 +377,16 @@ def _slope(lengths: Sequence[int], entropies: Sequence[float], lo: int, i: int, 
     return (lengths[hi] - lengths[lo]) / ds
 
 
-def _temperatures(lengths: Sequence[int], entropies: Sequence[float]) -> list[float]:
+def _temperatures(lengths: Sequence[int], entropies: Sequence[float]) -> array:
     """Discrete temperature at every point of an ascending (L, S) series,
     by _slope: central differences over the neighbouring points, one-sided
     at the two ends.  A single point has no temperature and yields nan.
     """
     n = len(lengths)
     if n < 2:
-        return [math.nan] * n
+        return array("d", [math.nan] * n)
     peak = entropies.index(max(entropies))  # found once, as _slope finds it
-    return [_slope(lengths, entropies, max(i - 1, 0), i, min(i + 1, n - 1), peak) for i in range(n)]
+    return array("d", (_slope(lengths, entropies, max(i - 1, 0), i, min(i + 1, n - 1), peak) for i in range(n)))
 
 
 def temperature_at(table: LogEnsembleTable, total_bits: int) -> TemperatureEstimate:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermocode import Code, count_messages, dump_code, random_complete_code
-from thermocode.cli import _fmt, _parse_grid, build_parser, main
+from thermocode.cli import _cmd_omega, _fmt, _parse_grid, build_parser, main
 
 from strategies import whole_codes
 
@@ -142,9 +143,9 @@ def test_omega_infinite_window_sums_tails(capsys, canon_path):
     (["0", "10", "11"], 12),  # canon
     (None, 6),  # g16: gen --leaves 16 --seed 7
     (["0", "111"], 8),  # step2: lattice step 2
-    (["0", "10", "11"], 100),  # canon, where --window 60 reruns the recurrence
+    (["0", "10", "11"], 100),  # canon, where --window 60 and 99 (the widest below N*span) rerun the recurrence
 ])
-@pytest.mark.parametrize("window", ["0.5", "3", "60", "inf"])
+@pytest.mark.parametrize("window", ["0.5", "3", "60", "99", "inf"])
 def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, window):
     code = random_complete_code(16, 7) if words is None else Code({f"s{i}": w for i, w in enumerate(words)})
     path = tmp_path / "code.json"
@@ -164,7 +165,7 @@ def test_omega_window_equals_direct_slice_sums(capsys, tmp_path, words, n, windo
 @pytest.mark.parametrize("mode", ["exact", "log"])
 def test_omega_window_runs_the_recurrence_once_unless_it_reruns(capsys, canon_path, monkeypatch, mode):
     # canon at N = 100 spans 100 cells: no window and --window 3 (tee) run
-    # Miller's recurrence once, --window 60 runs it for each prefix sum, and
+    # Miller's recurrence once, --window 60 and 99 run it for each pass, and
     # a window that reaches the last cell takes the total in closed form
     from thermocode import microcanonical
 
@@ -176,10 +177,26 @@ def test_omega_window_runs_the_recurrence_once_unless_it_reruns(capsys, canon_pa
         return miller(*args)
 
     monkeypatch.setattr(microcanonical, "_miller", counted)
-    for window, runs in (("0", 1), ("3", 1), ("60", 2), ("100", 1), ("inf", 1)):
+    for window, runs in (("0", 1), ("3", 1), ("60", 2), ("99", 2), ("100", 1), ("inf", 1)):
         calls.clear()
         assert run(capsys, "omega", "--code", canon_path, "-N", "100", "--mode", mode, "--window", window)[0] == 0
         assert len(calls) == runs, window
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "3"]], ids=["plain", "window"])
+def test_log_omega_holds_three_array_cells_a_row(canon_path, window):
+    # a log row keeps L, S and T as 8-byte array cells and no per-row object
+    argv = ["omega", "--code", canon_path, "--mode", "log", *window, "-N"]
+    _cmd_omega(build_parser().parse_args([*argv, "3"]))  # imports outside the trace
+    args = build_parser().parse_args([*argv, "20000"])
+    tracemalloc.start()
+    try:
+        rows, _ = _cmd_omega(args)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / 20001 <= 32
+    assert sum(1 for _ in rows) == 1 + 20001
 
 
 def _omega_columns(path: str, n: int, window: str, mode: str) -> list[str]:

@@ -235,7 +235,7 @@ def _cmd_solve_temp(args):
     code, _ = _load_code(args.code)
     spectrum = code.spectrum()
     if args.lam is not None:
-        if args.total_bits is not None:
+        if args.total_bits is not None or args.n_symbols is not None:
             raise CodeError("give either --lambda or -L with -N, not both")
         target = args.lam
     else:
@@ -472,15 +472,9 @@ def _run(argv: list[str] | None) -> int:
         for key, value in notes:
             note_stream.write(f"{key}={_fmt(value)}\n")
         return 0
-    except CapacityError as exc:
+    except (CapacityError, OSError, ValueError) as exc:  # CodeError and InfeasibleError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, CapacityError) else 2 if isinstance(exc, InfeasibleError) else 1
 
 
 if __name__ == "__main__":

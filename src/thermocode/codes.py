@@ -52,6 +52,11 @@ def _check_symbol(token) -> str:
     return token
 
 
+def _check_n_symbols(n_symbols: int) -> None:
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be at least 1")
+
+
 class Pmf:
     """Probability mass function over symbol tokens.
 
@@ -154,14 +159,12 @@ class LengthSpectrum:
     def __init__(self, counts: Mapping[int, int]):
         if not counts:
             raise ValueError("spectrum must contain at least one length")
-        clean: dict[int, int] = {}
         for length, count in counts.items():
             if not isinstance(length, int) or isinstance(length, bool) or length < 1:
                 raise ValueError(f"codeword length must be a positive int, got {length!r}")
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"count for length {length} must be a positive int")
-            clean[length] = count
-        self._counts = dict(sorted(clean.items()))
+        self._counts = dict(sorted(counts.items()))
         if _kraft_ceiling(self._counts)[0] > 1:
             raise ValueError("Kraft sum exceeds 1: no prefix code has these lengths")
 
@@ -254,15 +257,13 @@ class Code:
     def __init__(self, mapping: Mapping[str, str]):
         if not mapping:
             raise ParseError("code must contain at least one codeword")
-        words: dict[str, str] = {}
         for token, word in mapping.items():
             _check_symbol(token)
             if not isinstance(word, str) or not word:
                 raise ParseError(f"codeword of {token!r} must be a non-empty string")
             if word.strip("01"):
                 raise ParseError(f"codeword {word!r} of {token!r} has non-binary characters")
-            words[token] = word
-        self._words = dict(sorted(words.items()))
+        self._words = dict(sorted(mapping.items()))
 
         self._decode_map: dict[str, str] = {}  # codeword -> symbol
         for token, word in self._words.items():
@@ -366,7 +367,6 @@ def parse_code(text: str) -> tuple[Code, Pmf | None]:
 
     mapping: dict[str, str] = {}
     probs: dict[str, float | str | int] = {}
-    with_prob = 0
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"entry {i} is not an object")
@@ -381,8 +381,7 @@ def parse_code(text: str) -> tuple[Code, Pmf | None]:
         mapping[token] = word
         if "prob" in entry:
             probs[token] = entry["prob"]
-            with_prob += 1
-    if with_prob not in (0, len(entries)):
+    if len(probs) not in (0, len(entries)):
         raise ParseError("either every entry carries a prob or none does")
 
     code = Code(mapping)

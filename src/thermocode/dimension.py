@@ -30,7 +30,7 @@ from os.path import commonprefix
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .codes import Code, LengthSpectrum
+from .codes import Code, LengthSpectrum, _check_n_symbols
 from .errors import CapacityError, UnachievableLengthError
 from .gibbs import _LN2, _partition, _stats, temperature_from_beta
 
@@ -205,8 +205,7 @@ def prefix_counts(
     (l_max + 1) DP steps would pass MAX_PREFIX_STEPS (upper bounds on the
     work, see MAX_REACH_CELLS); both are checked before any table is built.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     if total_bits < 0:
         raise UnachievableLengthError(
             f"no message of {n_symbols} codewords totals {total_bits} bits"

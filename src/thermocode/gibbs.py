@@ -25,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .codes import Code, LengthSpectrum, Pmf
+from .codes import Code, LengthSpectrum, Pmf, _check_n_symbols
 from .errors import DegenerateSpectrumError, InfeasibleError
 from .rootfind import solve_decreasing
 
@@ -113,11 +113,8 @@ class GibbsState(NamedTuple):
 
     @property
     def z(self) -> float:
-        """Partition sum; may overflow to inf for very negative beta."""
-        try:
-            return 2.0**self.log2_z
-        except OverflowError:
-            return math.inf
+        """Partition sum 2**log2_z, or inf once log2_z reaches 1024, as at a very negative beta."""
+        return math.inf if self.log2_z >= 1024 else 2.0**self.log2_z
 
     @property
     def temperature(self) -> float:
@@ -197,8 +194,7 @@ def boltzmann_planck_entropy(
     terms as n_symbols grows.  A matched mean outside (l_min, l_max), or a
     degenerate spectrum, raises beta_for_mean_length's InfeasibleError.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     beta = beta_for_mean_length(spectrum, total_bits / n_symbols)
     state = gibbs_state(spectrum, beta)
     return n_symbols * state.entropy

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .codes import Code, LengthSpectrum, Pmf, _check_alphabet
+from .codes import Code, LengthSpectrum, Pmf, _check_alphabet, _check_n_symbols
 from .errors import CapacityError, UnachievableLengthError
 
 __all__ = [*_EXPORTS["microcanonical"]]
@@ -117,11 +117,9 @@ class LogEnsembleTable:
         return np.flatnonzero(np.isfinite(self.log2_array())).astype(np.int64) + self._offset
 
     def count(self, total_bits: int) -> float:
-        """2**log2_count(total_bits); inf once that passes the float range."""
-        try:
-            return 2.0 ** self.log2_count(total_bits)
-        except OverflowError:
-            return math.inf
+        """2**log2_count(total_bits), or inf once that reaches 1024, past the float range."""
+        log2 = self.log2_count(total_bits)
+        return math.inf if log2 >= 1024 else 2.0**log2
 
     def log2_count(self, total_bits: int) -> float:
         i = _index(self, total_bits)
@@ -198,8 +196,7 @@ def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
     offsets above l_min; every division is exact.  a_m needs only the span
     counts before it, so only those are kept.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     l_min = spectrum.l_min
     span = spectrum.l_max - l_min
     d0 = spectrum.d_min
@@ -221,8 +218,7 @@ def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
 def _check_exact_size(spectrum: LengthSpectrum, n_symbols: int) -> None:
     """count_messages' refusals: n_symbols < 1 first, as the charge's
     product turns positive for a very negative n_symbols, then the size."""
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     span = spectrum.l_max - spectrum.l_min
     bits = (n_symbols * span + 1) * (n_symbols * math.log2(spectrum.n_codewords) + 128)
     if bits > MAX_EXACT_BITS:
@@ -255,8 +251,7 @@ def count_messages_brute(
     exact and log tables are validated against.  A one-word code has one
     message at every N, answered without building it.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     k = len(code)
     # k**n_symbols >= 2**n_symbols once k > 1, so a long message is refused
     # without building the power, which takes seconds for a large n_symbols
@@ -469,8 +464,7 @@ def sample_messages(
     many cells, a histogram over the spread of one block's totals and, when
     focusing, one block's symbols in their narrowest type, whatever the draws.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be at least 1")
+    _check_n_symbols(n_symbols)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     if n_symbols > MAX_SAMPLE_SYMBOLS:

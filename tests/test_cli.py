@@ -14,8 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermocode import Code, count_messages, dump_code, random_complete_code
+from thermocode import Code, cli, count_messages, dump_code, random_complete_code
 from thermocode.cli import _cmd_omega, _fmt, _parse_grid, build_parser, main
+from thermocode.errors import (
+    CapacityError,
+    CodeError,
+    DegenerateSpectrumError,
+    InfeasibleError,
+    ParseError,
+    UnachievableLengthError,
+)
 
 from strategies import whole_codes
 
@@ -94,6 +102,30 @@ def test_missing_file_is_exit_one(capsys):
     rc, _, err = run(capsys, "check", "--code", "/nonexistent/code.json")
     assert rc == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (CapacityError, 3),
+    (InfeasibleError, 2), (UnachievableLengthError, 2), (DegenerateSpectrumError, 2),
+    (ParseError, 1), (CodeError, 1), (ValueError, 1), (FileNotFoundError, 1),
+])
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, tmp_path, error, code):
+    def fail(args):
+        raise error("no table")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    out = tmp_path / "out.txt"
+    assert run(capsys, "check", "--code", "code.json", "--out", str(out)) == (code, "", "error: no table\n")
+    assert not out.exists()
+
+
+def test_an_unexpected_error_propagates(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["check", "--code", "code.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +532,9 @@ def test_solve_temp_infeasible_exit_two(capsys, canon_path):
 def test_solve_temp_needs_one_input_form(capsys, canon_path):
     rc, _, err = run(capsys, "solve-temp", "--code", canon_path)
     assert rc == 1
-    rc, _, err = run(capsys, "solve-temp", "--code", canon_path, "--lambda", "1.5", "-L", "3", "-N", "2")
-    assert rc == 1
+    for extra in (["-L", "3", "-N", "2"], ["-N", "10"], ["-L", "3"]):
+        rc, out, err = run(capsys, "solve-temp", "--code", canon_path, "--lambda", "1.5", *extra)
+        assert (rc, out, err) == (1, "", "error: give either --lambda or -L with -N, not both\n")
 
 
 def test_solve_temp_zero_symbols_exit_one(capsys, canon_path):

@@ -229,6 +229,17 @@ def test_code_rejects_duplicates_and_junk():
         Code({})
 
 
+def test_validators_copy_their_input():
+    words = dict(CANON)
+    code = Code(words)
+    words["a"], words["d"] = "1", "00"
+    assert code.words == CANON and code == Code(CANON)
+    counts = {2: 2, 1: 1}
+    spectrum = LengthSpectrum(counts)
+    counts[1], counts[3] = 5, 1
+    assert spectrum.degeneracy == {1: 1, 2: 2} and spectrum.lengths == (1, 2)
+
+
 def test_codeword_lookup_unknown_symbol():
     code = Code(CANON)
     with pytest.raises(UnknownSymbolError):

@@ -266,8 +266,9 @@ def test_prefix_counts_validation():
         prefix_counts(CANON, 2, 7)  # two symbols cannot reach 7 bits
     with pytest.raises(ValueError):
         prefix_counts(CANON, 2, 3, n_max=9)
-    with pytest.raises(ValueError):
-        prefix_counts(CANON, 0, 3)
+    for n in (0, -10**9):
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            prefix_counts(CANON, n, 3)
 
 
 def test_prefix_counts_capacity_guard(monkeypatch):

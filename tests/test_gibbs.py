@@ -63,6 +63,16 @@ def test_partition_function_values():
     assert gibbs_state(FIVE_SP, 1.0).z == pytest.approx(1.0, abs=1e-12)
 
 
+def test_partition_function_at_the_float_edge():
+    # inf from log2 Z 1024 on; just below it, the largest double
+    state = gibbs_state(CANON_SP, 1.0)
+    assert state._replace(log2_z=math.nextafter(1024, 0)).z == 1.7976931348621742e308
+    assert state._replace(log2_z=1024.0).z == math.inf
+    assert state._replace(log2_z=-math.inf).z == 0.0
+    assert math.isnan(state._replace(log2_z=math.nan).z)
+    assert gibbs_state(CANON_SP, -2000.0).z == math.inf  # log2 Z is about 4001
+
+
 def test_partition_function_all_complete_codes():
     for seed in range(50):
         sp = random_complete_code(2 + seed % 23, seed).spectrum()
@@ -290,8 +300,9 @@ def test_entropy_approximation_bounds_check():
         boltzmann_planck_entropy(CANON_SP, 2.0, 2)  # lower edge, closed
     with pytest.raises(InfeasibleError):
         boltzmann_planck_entropy(CANON_SP, 9.0, 2)
-    with pytest.raises(ValueError):
-        boltzmann_planck_entropy(CANON_SP, 3.0, 0)
+    for n in (0, -10**9):
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            boltzmann_planck_entropy(CANON_SP, 3.0, n)
 
 
 def test_entropy_approximation_exact_fraction_check():

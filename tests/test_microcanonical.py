@@ -295,10 +295,13 @@ def test_capacity_guard_charges_every_cell(monkeypatch):
 
 
 def test_count_messages_rejects_bad_n():
-    with pytest.raises(ValueError):
-        count_messages(CANON_SP, 0)
-    with pytest.raises(ValueError, match="n_symbols must be at least 1"):
-        count_messages_brute(CANON, 0)
+    for n in (0, -10**9):
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            count_messages(CANON_SP, n)
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            count_messages_log(CANON_SP, n)
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            count_messages_brute(CANON, n)
     with pytest.raises(ValueError, match="n_max must be at least 1"):
         list(iter_log_tables(CANON_SP, 0))
 
@@ -395,6 +398,15 @@ def test_log_table_count_is_inf_past_the_float_range():
     assert table.count(1200) == math.inf
     assert table.count(800) == 1.0  # the all-short message
     assert table.count(799) == 0.0  # below the support
+
+
+def test_log_table_count_at_the_float_edge():
+    # inf from log2 1024 on; just below it, the largest double
+    table = LogEnsembleTable(1, 0, [math.nextafter(1024, 0), 1024.0, -math.inf, math.nan])
+    assert table.count(0) == 1.7976931348621742e308 == 2.0 ** math.nextafter(1024, 0)
+    assert table.count(1) == math.inf
+    assert table.count(2) == 0.0
+    assert math.isnan(table.count(3))
 
 
 def test_iter_log_tables_ends_like_direct_build():
@@ -925,8 +937,9 @@ def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
 
 def test_sampling_validates_inputs():
     pmf = dyadic_pmf(CANON)
-    with pytest.raises(ValueError):
-        sample_messages(CANON, pmf, 0, 10, seed=1)
+    for n in (0, -10**9):
+        with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+            sample_messages(CANON, pmf, n, 10, seed=1)
     with pytest.raises(ValueError):
         sample_messages(CANON, pmf, 2, 0, seed=1)
     other = Code({"x": "0", "y": "1"})

@@ -175,9 +175,10 @@ def _cmd_omega(args):
         # rows' float64 S column (64 bits a cell), one recurrence feeds both
         # passes; past that each pass reruns it, so memory stays flat.  A
         # window that reaches the last cell leads with the total of the
-        # counts, n_codewords**N (N < 1 is left to _miller's refusal).
+        # counts, n_codewords**N (at most 1 for N < 1, which _miller refuses
+        # on its first cell, before any row is formatted).
         span = spectrum.l_max - spectrum.l_min
-        if n >= 1 and args.window >= n * span:
+        if args.window >= n * span:
             passes = iter((spectrum.n_codewords**n,)), _miller(spectrum, n)
         else:
             heavy = (args.window + 1) * math.log2(spectrum.n_codewords) > 64 * span
@@ -241,8 +242,9 @@ def _cmd_solve_temp(args):
     else:
         if args.total_bits is None or args.n_symbols is None:
             raise CodeError("need --lambda, or -L together with -N")
-        if args.n_symbols < 1:
-            raise CodeError("n_symbols must be at least 1")
+        from .codes import _check_n_symbols
+
+        _check_n_symbols(args.n_symbols)
         target = args.total_bits / args.n_symbols
     beta = _self.beta_for_mean_length(spectrum, target)
     return _gibbs_rows(_self.gibbs_state(spectrum, beta)), ()

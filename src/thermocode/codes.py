@@ -123,25 +123,21 @@ class Pmf:
 
 def _kraft_ceiling(counts: Mapping[int, int]) -> tuple[int, bool]:
     """(ceil(K), whether K is an integer) for the Kraft sum K of a sorted
-    length -> count mapping, without building 2**length.
+    length -> count mapping, by shifts alone, so no 2**length or 2**gap is built.
 
     Walks from the longest length to the root, carrying the number of tree
     nodes the longer codewords occupy: gap levels up, need nodes fit in
-    ceil(need / 2**gap), which is 1 once 2**gap exceeds need.  So need stays
-    the ceiling of the Kraft mass below each level, and the division is exact
-    at every step iff K is an integer.
+    ceil(need / 2**gap) = -(-need >> gap), which is 1 once 2**gap exceeds need.
+    So need stays the ceiling of the Kraft mass below each level, and the
+    shift is exact at every step iff K is an integer.
     """
     items = reversed(counts.items())
     level, need = next(items)
     exact = True
     for length, count in [*items, (0, 0)]:
         gap = level - length
-        if gap >= need.bit_length():
-            need, exact = 1, False
-        else:
-            exact = exact and need & ((1 << gap) - 1) == 0
-            need = -(-need >> gap)
-        need += count
+        exact = exact and need >> gap << gap == need
+        need = -(-need >> gap) + count
         level = length
     return need, exact
 
@@ -399,11 +395,13 @@ def _dyadic_decimal(frac: Fraction) -> str:
 
 
 def dump_code(code: Code, pmf: Pmf | None = None) -> str:
-    """Serialize a code (and optional pmf) to the JSON document format.
+    """Serialize a code (and optional pmf over its alphabet) to the JSON document format.
 
     Exact probabilities are written as decimal strings when the denominator
     is a power of two, so a round trip through parse_code stays exact.
     """
+    if pmf is not None:
+        _check_alphabet(code, pmf)
     entries = []
     for token in code.symbols:
         entry: dict[str, object] = {"symbol": token, "codeword": code.codeword(token)}
@@ -422,29 +420,16 @@ def kraft_sum(code: Code) -> Fraction:
     return code.spectrum().kraft_sum()
 
 
-def _dyadic_exponent(p: Fraction | float) -> int | None:
-    """If p == 2**-k exactly, return k, else None."""
-    if isinstance(p, Fraction):
-        if p.numerator == 1 and p.denominator & (p.denominator - 1) == 0:
-            return p.denominator.bit_length() - 1
-        return None
-    mantissa, exp = math.frexp(p)
-    if mantissa == 0.5:
-        return 1 - exp
-    return None
-
-
 def shannon_entropy(pmf: Pmf) -> Fraction | float:
     """Entropy in bits, -sum(p * log2 p).
 
-    When every probability is exactly a power of two the result is returned
-    as an exact Fraction (log2 p is then an integer); otherwise a float.
+    An exact pmf whose every probability is 2**-k gives an exact Fraction
+    (log2 p is then the integer -k); any other pmf gives a float.
     """
-    exponents = [_dyadic_exponent(p) for _, p in pmf.items()]
-    if pmf.exact and all(k is not None for k in exponents):
-        return sum(
-            (p * k for (_, p), k in zip(pmf.items(), exponents)), start=Fraction(0)
-        )
+    if pmf.exact and all(
+        p.numerator == 1 and not p.denominator & (p.denominator - 1) for _, p in pmf.items()
+    ):
+        return sum(p * (p.denominator.bit_length() - 1) for _, p in pmf.items())
     return -math.fsum(float(p) * math.log2(float(p)) for _, p in pmf.items())
 
 

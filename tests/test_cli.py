@@ -258,11 +258,15 @@ def test_omega_window_modes_print_the_same_columns(tmp_path_factory, code, n, wi
     assert exact == _omega_columns(str(path), n, window, "log")
 
 
-@pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["plain", "window"])
+@pytest.mark.parametrize(
+    "window", [[], ["--window", "2"], ["--window", "inf"]], ids=["plain", "window", "inf"]
+)
 @pytest.mark.parametrize("mode", ["exact", "log"])
 def test_omega_without_symbols_exit_one(capsys, canon_path, mode, window):
     # the size charge's product turns positive for a very negative N, so
-    # exact mode refuses N < 1 before its guard
+    # exact mode refuses N < 1 before its guard; a window covers every cell
+    # of an N < 1 table, so log mode takes the closed-form lead and the
+    # refusal comes from the recurrence's first cell
     for n in ("0", "-1000000000"):
         rc, out, err = run(capsys, "omega", "--code", canon_path, "-N", n, "--mode", mode, *window)
         assert (rc, out, err) == (1, "", "error: n_symbols must be at least 1\n")

@@ -173,6 +173,9 @@ def test_kraft_check_matches_fraction_sum():
     assert _kraft_ceiling({1: 1, 2**40: 1}) == (1, False)
     assert _kraft_ceiling({1: 2, 2**40: 1}) == (2, False)
     assert _kraft_ceiling({1: 1, 2**40: 2**(2**10)}) == (1, False)
+    # an exact step, then a huge gap; one length whose gap to the root is 2**62
+    assert _kraft_ceiling({1: 1, 2: 1, 2**40: 1}) == (1, False)
+    assert _kraft_ceiling({2**62: 1}) == (1, False)
     assert not LengthSpectrum({1: 1, 2**40: 1}).is_complete
     # an over-full spectrum with one long length is refused by the Kraft
     # message, not by formatting an exact sum with 2**20 bits in its denominator
@@ -431,6 +434,14 @@ def test_dump_parse_round_trip():
     assert probs == {"a": "0.5", "b": "0.25", "c": "0.25"}
 
 
+def test_dump_code_refuses_other_alphabet():
+    code = Code({"a": "0", "b": "1"})
+    # a pmf without one of the code's symbols, and one with a symbol too many
+    for probs in ({"a": 0.5, "c": 0.5}, {"a": 0.5, "b": 0.25, "c": 0.25}):
+        with pytest.raises(UnknownSymbolError, match="alphabet"):
+            dump_code(code, Pmf(probs))
+
+
 @pytest.mark.parametrize(
     "words, probs, written",
     [
@@ -467,12 +478,18 @@ def test_entropy_exact_for_dyadic():
     h = shannon_entropy(Pmf(CANON_PMF))
     assert isinstance(h, Fraction)
     assert h == Fraction(3, 2)
+    # one symbol of probability 1 = 2**-0
+    h = shannon_entropy(Pmf({"a": 1}))
+    assert isinstance(h, Fraction) and h == 0
 
 
 def test_entropy_float_for_non_dyadic():
     h = shannon_entropy(Pmf({"a": Fraction(1, 3), "b": Fraction(1, 3), "c": Fraction(1, 3)}))
     assert isinstance(h, float)
     assert abs(h - math.log2(3)) < 1e-12
+    # one exact probability among floats: the pmf is not exact
+    h = shannon_entropy(Pmf({"a": Fraction(1, 2), "b": 0.25, "c": 0.25}))
+    assert isinstance(h, float) and h == 1.5
 
 
 def test_average_length_exact_identity():

@@ -12,8 +12,8 @@ beta = 1 the dyadic point T = 1.
 Exit codes: 0 success, 1 invalid input (bad document, prefix violation,
 usage), 2 infeasible parameter (outside the achievable or feasible range),
 3 capacity guard (exact counts for omega or equilibrium --brute, a prefix
-table, a generated code, a --grid or a sampled message too large; for
-omega, retry with --mode log).
+table, a generated code, a --grid, a sampled message or the decimal exponent
+of a string probability too large; for omega, retry with --mode log).
 """
 
 from __future__ import annotations
@@ -74,20 +74,17 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x, signed_inf: bool = True) -> str:
     """CSV cell: strings as given, ints exact, floats at 17 significant
     digits, inf/nan literal."""
-    if type(x) is float and x - x == 0.0:  # a finite float, the most common cell
+    if type(x) is not float:
+        if isinstance(x, str):
+            return x
+        if isinstance(x, int):
+            return str(x)
+        x = float(x)
+    if x - x == 0.0:  # a finite float, the most common cell
         return f"{x:.17g}"
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    x = float(x)
     if math.isnan(x):
         return "nan"
-    if math.isinf(x):
-        if x > 0:
-            return "+inf" if signed_inf else "inf"
-        return "-inf"
-    return f"{x:.17g}"
+    return "-inf" if x < 0 else "+inf" if signed_inf else "inf"
 
 
 def _row(*cells) -> str:
@@ -132,8 +129,8 @@ def _cmd_check(args):
     if pmf is not None:
         entropy = _self.shannon_entropy(pmf)
         avg = _self.average_codeword_length(code, pmf)
-        rows.append(f"H={_fmt(float(entropy))}")
-        rows.append(f"L_X={_fmt(float(avg))}")
+        rows.append(f"H={_fmt(entropy)}")
+        rows.append(f"L_X={_fmt(avg)}")
         rows.append(f"optimal={'true' if _self.is_absolutely_optimal(code, pmf) else 'false'}")
     return rows, ()
 
@@ -338,7 +335,7 @@ def _cmd_prefixes(args):
     table = _self.prefix_counts(code, args.n_symbols, total, n_max=args.n_max)
     notes = {"fitted_slope": _self.fit_dimension(table)}
     spectrum = code.spectrum()
-    if not spectrum.is_degenerate and spectrum.l_min < total / args.n_symbols < spectrum.l_max:
+    if spectrum.l_min < total / args.n_symbols < spectrum.l_max:
         beta = _self.beta_for_mean_length(spectrum, total / args.n_symbols)
         notes["matched_beta"] = beta
         notes["dim_at_matched_beta"] = _self.box_dimension(spectrum, beta)

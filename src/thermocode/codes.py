@@ -39,6 +39,10 @@ __all__ = [*_EXPORTS["codes"]]
 # Tolerance for float-valued pmfs: normalization and dyadic comparison.
 PROB_TOL = 1e-12
 
+# Pmf refuses a string probability whose decimal exponent has more digits than
+# this before Fraction builds 10**exponent, which takes seconds past 10**7.
+MAX_EXPONENT_DIGITS = 4
+
 # random_complete_code refuses more leaves than this: each split pops from a
 # list, so the work grows as leaves**2, about a second at the cap.
 MAX_LEAVES = 2**16
@@ -60,10 +64,10 @@ def _check_n_symbols(n_symbols: int) -> None:
 class Pmf:
     """Probability mass function over symbol tokens.
 
-    Values may be Fraction (exact mode) or float.  Exact mode requires the
-    probabilities to sum to exactly 1; float mode tolerates PROB_TOL slack.
-    int and str values are promoted to Fraction, so a document can carry
-    "0.125" and stay exact.
+    Values lie in (0, 1] and may be Fraction (exact mode) or float.  Exact
+    mode requires the probabilities to sum to exactly 1; float mode tolerates
+    PROB_TOL slack.  int and str values are promoted to Fraction, so a
+    document can carry "0.125" and stay exact.
     """
 
     def __init__(self, probs: Mapping[str, Fraction | float | int | str]):
@@ -72,9 +76,11 @@ class Pmf:
         converted: dict[str, Fraction | float] = {}
         for token, p in probs.items():
             _check_symbol(token)
-            if isinstance(p, bool):
-                raise ParseError(f"probability of {token!r} must be a number")
-            if isinstance(p, (int, str)):
+            if isinstance(p, str):
+                exponent = p.lower().partition("e")[2].lstrip("+-0_").rstrip().replace("_", "")
+                if len(exponent) > MAX_EXPONENT_DIGITS and exponent.isdecimal():
+                    raise CapacityError(f"probability of {token!r}: exponent of {len(exponent)} digits (cap {MAX_EXPONENT_DIGITS})")
+            if isinstance(p, (int, str)) and not isinstance(p, bool):  # a bool is refused below
                 try:
                     p = Fraction(p)
                 except (ValueError, ZeroDivisionError) as exc:
@@ -83,15 +89,15 @@ class Pmf:
                 raise ParseError(f"probability of {token!r} must be finite, got {p}")
             elif not isinstance(p, (Fraction, float)):
                 raise ParseError(f"probability of {token!r} must be a number")
-            if p <= 0:
-                raise ParseError(f"probability of {token!r} must be positive")
+            if not 0 < p <= 1:  # so no sum below overflows a float
+                raise ParseError(f"probability of {token!r} must be in (0, 1]")
             converted[token] = p
         self._probs = dict(sorted(converted.items()))
         self.exact = all(isinstance(p, Fraction) for p in self._probs.values())
         if self.exact:
             total = sum(self._probs.values())
             if total != 1:
-                raise ParseError(f"exact probabilities sum to {total}, not 1")
+                raise ParseError(f"exact probabilities sum to {float(total)!r}, not 1 (off by {float(total - 1):+.3g})")
         else:
             total = math.fsum(float(p) for p in self._probs.values())
             if abs(total - 1.0) > PROB_TOL:
@@ -353,7 +359,7 @@ def parse_code(text: str) -> tuple[Code, Pmf | None]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "code" not in doc:
         raise ParseError('document must be an object with a "code" array')

@@ -141,9 +141,7 @@ def gibbs_state(spectrum: LengthSpectrum, beta: float) -> GibbsState:
     """Canonical state with symbol weights 2**(-beta * length)."""
     log2_z, mean, var, _ = _stats(spectrum, beta)
     # log2 p(l) = -beta*l - log2 Z is exact in the log domain; exponentiate last.
-    length_prob = {
-        l: float(2.0 ** (-beta * l - log2_z)) for l in spectrum.lengths
-    }
+    length_prob = {l: 2.0 ** (-beta * l - log2_z) for l in spectrum.lengths}
     return GibbsState(
         beta=beta,
         log2_z=log2_z,

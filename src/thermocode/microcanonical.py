@@ -58,7 +58,7 @@ _SAMPLE_CHUNK_CELLS = 1 << 13
 def _index(table: LogEnsembleTable, total_bits: int) -> int:
     """Index of total_bits in the table's array; -1 past either end or at
     a length between two integers.  A whole-number float names its integer."""
-    i = total_bits - table._offset
+    i = total_bits - table.offset
     return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
 
 
@@ -99,11 +99,11 @@ class LogEnsembleTable:
     it stands, so a write through the view reaches them all.
     """
 
-    __slots__ = ("n_symbols", "_offset", "_log2", "_peak")
+    __slots__ = ("n_symbols", "offset", "_log2", "_peak")
 
     def __init__(self, n_symbols: int, offset: int, log2_counts: Iterable[float]):
         self.n_symbols = n_symbols
-        self._offset = offset
+        self.offset = offset
         if getattr(log2_counts, "typecode", None) != "d":
             log2_counts = array("d", log2_counts)
         self._log2 = log2_counts
@@ -114,7 +114,7 @@ class LogEnsembleTable:
         """Achievable total lengths, ascending, as int64."""
         import numpy as np
 
-        return np.flatnonzero(np.isfinite(self.log2_array())).astype(np.int64) + self._offset
+        return np.flatnonzero(np.isfinite(self.log2_array())).astype(np.int64) + self.offset
 
     def count(self, total_bits: int) -> float:
         """2**log2_count(total_bits), or inf once that reaches 1024, past the float range."""
@@ -130,10 +130,6 @@ class LogEnsembleTable:
         import numpy as np
 
         return np.frombuffer(self._log2, dtype=np.float64)
-
-    @property
-    def offset(self) -> int:
-        return self._offset
 
 
 class EnsembleTable(LogEnsembleTable):
@@ -160,7 +156,7 @@ class EnsembleTable(LogEnsembleTable):
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(total_bits, count) pairs over the nonzero counts, ascending."""
-        return ((self._offset + i, c) for i, c in enumerate(self._coeffs) if c)
+        return ((self.offset + i, c) for i, c in enumerate(self._coeffs) if c)
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.items())
@@ -333,7 +329,7 @@ def _cell(table: LogEnsembleTable, total_bits: int) -> int:
     i = _index(table, total_bits)
     if i >= 0 and math.isfinite(table._log2[i]):
         return i
-    log2, offset = table._log2, table._offset
+    log2, offset = table._log2, table.offset
     lo, hi = _nearest(log2, -1, 1), _nearest(log2, len(log2), -1)
     where = f"achievable range {offset + lo}..{offset + hi}" if lo >= 0 else _EMPTY
     raise UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")
@@ -414,7 +410,7 @@ def most_probable_length(table: LogEnsembleTable) -> int:
     given log2 values) compares them as floats: the first maximum of
     log2 count - L, np.argmax's rule.
     """
-    log2, offset, i = table._log2, table._offset, table._peak
+    log2, offset, i = table._log2, table.offset, table._peak
     if i is None and log2:
         import numpy as np
 
@@ -485,14 +481,12 @@ def sample_messages(
     hist: Counter[int] = Counter()
     keys: Counter[bytes] = Counter()
     block = max(1, _SAMPLE_CHUNK_CELLS // n_symbols)
-    piece = min(n_symbols, _SAMPLE_CHUNK_CELLS)
-    done = 0
-    while done < draws:
+    for done in range(0, draws, block):
         m = min(block, draws - done)
         totals = np.zeros(m, dtype=np.int64)
         parts = []
-        for col in range(0, n_symbols, piece):
-            idx = rng.choice(len(words), size=(m, min(piece, n_symbols - col)), p=probs)
+        for col in range(0, n_symbols, _SAMPLE_CHUNK_CELLS):
+            idx = rng.choice(len(words), size=(m, min(_SAMPLE_CHUNK_CELLS, n_symbols - col)), p=probs)
             totals += lengths[idx].sum(axis=1)
             if focus_total is not None:
                 parts.append(idx.astype(narrow))
@@ -503,7 +497,6 @@ def sample_messages(
         if focus_total is not None and (hit := totals == focus_total).any():
             # each hit message as one packed key, joined into bits at the end
             keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
-        done += m
     bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
     return SampleReport(
         draws=draws,

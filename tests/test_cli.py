@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -96,6 +97,29 @@ def test_check_refuses_nan_probability(capsys, tmp_path):
     assert rc == 1
     assert out == ""
     assert err == "error: probability of 'a' must be finite, got nan\n"
+
+
+HOSTILE_DOCS = {
+    # a 4 KB document whose extra key nests 2,000 lists: RecursionError in the decoder
+    "nested": ('{"code": [{"symbol": "a", "codeword": "0"}], "x": ' + "[" * 2000 + "]" * 2000 + "}", 1),
+    # a 10**300000 or 10**10000000 denominator: seconds to build and to print
+    "exponent-6-digits": ('{"code": [{"symbol": "a", "codeword": "0", "prob": "1e-300000"}]}', 3),
+    "exponent-8-digits": ('{"code": [{"symbol": "a", "codeword": "0", "prob": "1e-10000000"}]}', 3),
+    # a plain 30,001-digit decimal: the exact sum printed in full ran to 60,000 digits
+    "long-decimal": ('{"code": [{"symbol": "a", "codeword": "0", "prob": "0.' + "5" * 30000 + '1"}]}', 1),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_DOCS)
+def test_check_refuses_a_hostile_document_at_once_in_one_line(capsys, tmp_path, name):
+    text, code = HOSTILE_DOCS[name]
+    p = tmp_path / "hostile.json"
+    p.write_text(text)
+    started = time.process_time()
+    rc, out, err = run(capsys, "check", "--code", str(p))
+    assert time.process_time() - started < 1.0
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_missing_file_is_exit_one(capsys):

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -419,6 +421,68 @@ def test_parse_code_errors():
                 }
             )
         )
+
+
+def test_parse_code_refuses_deep_nesting_and_long_integers():
+    # the decoder's RecursionError and the int-digit limit's ValueError are bad documents too
+    nested = '{"code": [{"symbol": "a", "codeword": "0"}], "x": ' + "[" * 2000 + "]" * 2000 + "}"
+    with pytest.raises(ParseError, match="not valid JSON"):
+        parse_code(nested)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_code('{"code": [{"symbol": "a", "codeword": "0", "prob": 1' + "0" * 5000 + "}]}")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_pmf_refuses_a_long_decimal_exponent_before_building_its_power():
+    # four significant digits pass, leading zeros and an upper-case E included: the sum is then
+    # what refuses 1e-9999 + 0.5, so the power was built
+    assert Pmf({"a": "5E-1", "b": "0.05e+0001"}) == Pmf({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    for prob in ["1e-9999", "1E-9999", "1e-0000009999", "1e+9999"]:
+        with pytest.raises(ParseError, match="sum to|must be in"):
+            Pmf({"a": prob, "b": "0.5"})
+    # five significant digits or more are refused at once, whatever the exponent's size
+    for prob in ["1e-10000", "1E+10000", "1e-1_0000", "1e-300000", "1e-10000000", "1e-999999999", "1e-" + "9" * 100000]:
+        started = time.perf_counter()
+        with pytest.raises(CapacityError, match="exponent of [0-9]+ digits"):
+            Pmf({"a": prob, "b": "0.5"})
+        assert time.perf_counter() - started < 1.0, prob
+    # a string that is no number stays a parse error, however long its tail after an e
+    with pytest.raises(ParseError, match="bad probability"):
+        Pmf({"a": "seventeen", "b": "0.5"})
+    # a long plain decimal has no exponent and is untouched: dump_code's dyadic decimals
+    half = Fraction(1, 2**200)
+    assert Pmf({"a": codes._dyadic_decimal(half), "b": codes._dyadic_decimal(1 - half)}).exact
+
+
+def test_pmf_sum_refusal_states_floats_in_a_short_message():
+    # the sum of a 4,001-digit decimal and 0.5 printed exactly would run to 8,000 digits
+    with pytest.raises(ParseError) as info:
+        Pmf({"a": "0.5", "b": "0." + "5" * 4000 + "1"})
+    message = str(info.value)
+    assert len(message) < 100
+    assert message == "exact probabilities sum to 1.0555555555555556, not 1 (off by +0.0556)"
+    with pytest.raises(ParseError, match=r"sum to 0\.75, not 1 \(off by -0\.25\)"):
+        Pmf({"a": Fraction(1, 2), "b": Fraction(1, 4)})
+    # a sum a hair off 1 keeps its sign where the float difference underflows
+    with pytest.raises(ParseError, match=r"sum to 1\.0, not 1 \(off by \+0\)"):
+        Pmf({"a": "0.5", "b": "0.5", "c": "1e-9999"})
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [{"a": "1e400", "b": "0.5"}, {"a": 10**400}, {"a": Fraction(3, 2)}, {"a": 1e308, "b": 1e308}, {"a": 1.5}],
+    ids=["exact-power", "exact-int", "exact-fraction", "float-sum-overflows", "float"],
+)
+def test_pmf_refuses_a_probability_above_one_by_itself(probs):
+    # so neither sum overflows a float: fsum of two 1e308 raised OverflowError
+    with pytest.raises(ParseError, match=r"must be in \(0, 1\]"):
+        Pmf(probs)
 
 
 def test_dump_parse_round_trip():

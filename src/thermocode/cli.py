@@ -96,6 +96,11 @@ def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
     return chain([header], starmap(_row, rows))
 
 
+def _kv(pairs: Iterable[tuple[str, object]]) -> Iterator[str]:
+    """key=value lines, each value a _fmt cell and a bool true or false."""
+    return (f"{k}={str(v).lower() if isinstance(v, bool) else _fmt(v)}" for k, v in pairs)
+
+
 def _load_code(path: str) -> tuple[Code, Pmf | None]:
     with open(path) as file:
         return _self.parse_code(file.read())
@@ -119,20 +124,12 @@ def _cmd_check(args):
     code, pmf = _load_code(args.code)
     spectrum = code.spectrum()
     k = _self.kraft_sum(code)
-    rows = [
-        f"n={len(code)}",
-        f"l_min={spectrum.l_min}",
-        f"l_max={spectrum.l_max}",
-        f"kraft={k}",
-        f"complete={'true' if k == 1 else 'false'}",
-    ]
+    pairs = [("n", len(code)), ("l_min", spectrum.l_min), ("l_max", spectrum.l_max), ("kraft", str(k)), ("complete", k == 1)]
     if pmf is not None:
-        entropy = _self.shannon_entropy(pmf)
-        avg = _self.average_codeword_length(code, pmf)
-        rows.append(f"H={_fmt(entropy)}")
-        rows.append(f"L_X={_fmt(avg)}")
-        rows.append(f"optimal={'true' if _self.is_absolutely_optimal(code, pmf) else 'false'}")
-    return rows, ()
+        pairs.append(("H", _self.shannon_entropy(pmf)))
+        pairs.append(("L_X", _self.average_codeword_length(code, pmf)))
+        pairs.append(("optimal", _self.is_absolutely_optimal(code, pmf)))
+    return _kv(pairs), ()
 
 
 def _window_sums(lead: Iterator[int], trail: Iterator[int], window: float) -> Iterator[tuple[int, int]]:
@@ -202,14 +199,9 @@ def _cmd_temperature(args):
     est = _self.temperature_at(table, total)
     entropy = _self.entropy_at(table, total)
     at = "_at_L_star" if star else ""
-    if star:
-        rows = [f"L_star={total}", f"L_star_over_N={_fmt(total / args.n_symbols)}"]
-    else:
-        rows = [f"L={total}"]
-    rows.append(f"S{at}={_fmt(entropy)}")
-    rows.append(f"T{at}={_fmt(est.value)}")
-    rows.append(f"one_sided={'true' if est.one_sided else 'false'}")
-    return rows, ()
+    pairs = [("L_star", total), ("L_star_over_N", total / args.n_symbols)] if star else [("L", total)]
+    pairs += [(f"S{at}", entropy), (f"T{at}", est.value), ("one_sided", est.one_sided)]
+    return _kv(pairs), ()
 
 
 def _gibbs_rows(state):
@@ -468,11 +460,14 @@ def _run(argv: list[str] | None) -> int:
             for line in rows:
                 out.write(line + "\n")
         note_stream = sys.stdout if args.out else sys.stderr
-        for key, value in notes:
-            note_stream.write(f"{key}={_fmt(value)}\n")
+        for line in _kv(notes):
+            note_stream.write(line + "\n")
         return 0
     except (CapacityError, OSError, ValueError) as exc:  # CodeError and InfeasibleError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)  # it may quote a bad value whole: a long one prints its two ends
+        if len(message) > 400:
+            message = f"{message[:200]} ...[{len(message) - 400} characters left out]... {message[-200:]}"
+        print(f"error: {message}", file=sys.stderr)
         return 3 if isinstance(exc, CapacityError) else 2 if isinstance(exc, InfeasibleError) else 1
 
 

@@ -198,13 +198,11 @@ def _miller(spectrum: LengthSpectrum, n_symbols: int) -> Iterator[int]:
     d0 = spectrum.d_min
     terms = [(l - l_min, d) for l, d in spectrum.degeneracy.items() if l > l_min]
     a = d0**n_symbols
-    recent = deque([a], maxlen=span)  # recent[-k] is a_(m-k)
+    recent = deque([*[0] * (span - 1), a], maxlen=span)  # recent[-k] is a_(m-k), 0 for m < k
     yield a
     for m in range(1, n_symbols * span + 1):
         acc = 0
         for k, d in terms:
-            if k > m:
-                break
             acc += ((n_symbols + 1) * k - m) * d * recent[-k]
         a = acc // (m * d0)
         recent.append(a)
@@ -463,6 +461,8 @@ def sample_messages(
     _check_n_symbols(n_symbols)
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    if seed < 0:  # numpy's refusal does not name the value
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if n_symbols > MAX_SAMPLE_SYMBOLS:
         raise CapacityError(
             f"a message of {n_symbols} symbols exceeds the sampler's cap {MAX_SAMPLE_SYMBOLS}"

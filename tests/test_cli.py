@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermocode import Code, cli, count_messages, dump_code, random_complete_code
-from thermocode.cli import _cmd_omega, _fmt, _parse_grid, build_parser, main
+from thermocode import Code, cli, count_messages, dump_code, parse_code, random_complete_code
+from thermocode.cli import _cmd_omega, _fmt, _kv, _parse_grid, build_parser, main
 from thermocode.errors import (
     CapacityError,
     CodeError,
@@ -65,6 +65,10 @@ def kv(out: str) -> dict[str, str]:
     return pairs
 
 
+def _doc(*entries) -> str:
+    return json.dumps({"code": [dict(zip(("symbol", "codeword", "prob"), e)) for e in entries]})
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -79,6 +83,26 @@ def test_check_reports_code_facts(capsys, canon_path):
     assert got["l_min"] == "1" and got["l_max"] == "2"
     assert got["H"] == "1.5" and got["L_X"] == "1.5"
     assert got["optimal"] == "true"
+
+
+def test_check_reports_a_non_optimal_pmf(capsys, tmp_path):
+    # a complete code whose pmf is not 2**-length: H < L_X
+    p = tmp_path / "skewed.json"
+    p.write_text(_doc(("a", "0", "0.4"), ("b", "10", "0.3"), ("c", "11", "0.3")))
+    rc, out, _ = run(capsys, "check", "--code", str(p))
+    assert rc == 0
+    assert out.splitlines()[4:] == ["complete=true", "H=1.5709505944546684", "L_X=1.6000000000000001", "optimal=false"]
+
+
+def test_kv_formats_each_value_as_a_cell():
+    pairs = [
+        ("i", 7), ("f", 0.1), ("pos", math.inf), ("neg", -math.inf), ("nan", math.nan),
+        ("s", "3/4"), ("yes", True), ("no", False),
+    ]
+    assert list(_kv(pairs)) == [
+        "i=7", "f=0.10000000000000001", "pos=+inf", "neg=-inf", "nan=nan",
+        "s=3/4", "yes=true", "no=false",
+    ]
 
 
 def test_check_rejects_prefix_violation(capsys, tmp_path):
@@ -120,6 +144,44 @@ def test_check_refuses_a_hostile_document_at_once_in_one_line(capsys, tmp_path, 
     assert time.process_time() - started < 1.0
     assert (rc, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+LONG = 100_000
+# each refusal quotes its bad value, the prefix violation both codewords
+LONG_VALUE_DOCS = {
+    "unreadable-probability": _doc(("a", "0", "0." + "5" * LONG + "x"), ("b", "1", "0.5")),
+    "non-binary-codeword": _doc(("a", "2" * LONG)),
+    "symbol-with-whitespace": _doc(("a " + "a" * LONG, "0")),
+    "duplicate-codeword": _doc(("a", "0" * LONG), ("b", "0" * LONG)),
+    "prefix-violation": _doc(("a", "0" * LONG), ("b", "0" * LONG + "1")),
+    "duplicate-symbol": _doc(("a" * LONG, "0"), ("a" * LONG, "1")),
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUE_DOCS)
+def test_a_long_bad_value_makes_a_short_error_line(capsys, tmp_path, name):
+    p = tmp_path / "long.json"
+    p.write_text(LONG_VALUE_DOCS[name])
+    rc, out, err = run(capsys, "check", "--code", str(p))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 500
+    assert "characters left out]" in err
+    # a library caller still gets the whole message
+    with pytest.raises(ValueError) as info:
+        parse_code(LONG_VALUE_DOCS[name])
+    assert len(str(info.value)) > LONG
+
+
+@pytest.mark.parametrize("length", [400, 401])
+def test_an_error_message_over_400_characters_prints_its_ends(capsys, monkeypatch, length):
+    message = "".join(map(str, range(1000)))[:length]
+
+    def fail(args):
+        raise CodeError(message)
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    shown = f"{message[:200]} ...[1 characters left out]... {message[-200:]}" if length > 400 else message
+    assert run(capsys, "check", "--code", "code.json") == (1, "", f"error: {shown}\n")
 
 
 def test_missing_file_is_exit_one(capsys):
@@ -808,6 +870,11 @@ def test_sample_longer_than_the_cap_exit_three(capsys, canon_path):
     assert rc == 3
     assert out == ""
     assert "1000001 symbols" in err
+
+
+def test_sample_negative_seed_exit_one(capsys, canon_path):
+    rc, out, err = run(capsys, "sample", "--code", canon_path, "-N", "4", "--draws", "10", "--seed", "-1")
+    assert (rc, out, err) == (1, "", "error: seed must be a non-negative integer, got -1\n")
 
 
 def test_sample_without_probabilities_draws_the_dyadic_law(capsys, tmp_path, canon_path):

@@ -237,6 +237,9 @@ def test_recurrence_matches_convolution():
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(spectrum=kraft_spectra(), n=st.integers(1, 12))
+# a span of 10 at N = 1 and 2: most terms reach below a_0
+@example(spectrum=LengthSpectrum({1: 1, 9: 255, 11: 4}), n=1)
+@example(spectrum=LengthSpectrum({1: 1, 9: 255, 11: 4}), n=2)
 def test_recurrence_matches_convolution_on_kraft_spectra(spectrum, n):
     assert count_messages(spectrum, n).to_dict() == convolution_counts(spectrum, n)
 
@@ -847,6 +850,12 @@ def test_sampling_deterministic_and_consistent():
     assert a == b
     assert sum(a.histogram.values()) == 2000
     assert set(a.histogram) <= set(count_messages(CANON_SP, 4).support.tolist())
+
+
+def test_sampling_refuses_a_negative_seed_by_its_value():
+    # numpy's own refusal would not name the seed
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        sample_messages(CANON, dyadic_pmf(CANON), 4, 10, seed=-1)
 
 
 def test_sampling_mean_tracks_expected_length():

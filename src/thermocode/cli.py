@@ -464,8 +464,9 @@ def _run(argv: list[str] | None) -> int:
             note_stream.write(line + "\n")
         return 0
     except (CapacityError, OSError, ValueError) as exc:  # CodeError and InfeasibleError are ValueErrors
-        message = str(exc)  # it may quote a bad value whole: a long one prints its two ends
+        message = str(exc)  # it may quote a bad value whole: a long one prints its two ASCII ends
         if len(message) > 400:
+            message = message.encode("ascii", "backslashreplace").decode()
             message = f"{message[:200]} ...[{len(message) - 400} characters left out]... {message[-200:]}"
         print(f"error: {message}", file=sys.stderr)
         return 3 if isinstance(exc, CapacityError) else 2 if isinstance(exc, InfeasibleError) else 1

@@ -61,13 +61,20 @@ def _check_n_symbols(n_symbols: int) -> None:
         raise ValueError("n_symbols must be at least 1")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # random.Random would seed from |seed|, and numpy's refusal does not name it
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 class Pmf:
     """Probability mass function over symbol tokens.
 
-    Values lie in (0, 1] and may be Fraction (exact mode) or float.  Exact
-    mode requires the probabilities to sum to exactly 1; float mode tolerates
-    PROB_TOL slack.  int and str values are promoted to Fraction, so a
-    document can carry "0.125" and stay exact.
+    Values lie in (0, 1] and may be Fraction or float; int and str values
+    are promoted to Fraction, so a document can carry "0.125" and stay exact.
+    Entropy, average length and optimality read its one mode: exact when
+    every value is a Fraction, float when any value is a float.  An exact
+    pmf must sum to exactly 1 and compares exactly; a float pmf, Fraction
+    entries included, is held to PROB_TOL.
     """
 
     def __init__(self, probs: Mapping[str, Fraction | float | int | str]):
@@ -469,14 +476,8 @@ def is_absolutely_optimal(code: Code, pmf: Pmf) -> bool:
     Equivalent to the average codeword length meeting the entropy exactly.
     """
     _check_alphabet(code, pmf)
-    for token, p in pmf.items():
-        target = Fraction(1, 2 ** code.length(token))
-        if isinstance(p, Fraction):
-            if p != target:
-                return False
-        elif abs(p - float(target)) > PROB_TOL:
-            return False
-    return True
+    tol = 0 if pmf.exact else PROB_TOL
+    return all(abs(p - Fraction(1, 2 ** code.length(token))) <= tol for token, p in pmf.items())
 
 
 def dyadic_pmf(code: Code) -> Pmf:
@@ -505,7 +506,7 @@ def random_complete_code(leaf_count: int, seed: int) -> Code:
 
     Args:
         leaf_count: number of codewords, 2 to MAX_LEAVES (CapacityError above).
-        seed: 64-bit PRNG seed.
+        seed: non-negative PRNG seed (ValueError below 0).
 
     Returns:
         A complete Code with leaf_count codewords.
@@ -514,6 +515,7 @@ def random_complete_code(leaf_count: int, seed: int) -> Code:
         raise ValueError("leaf_count must be at least 2 (a one-word prefix code is empty-word)")
     if leaf_count > MAX_LEAVES:
         raise CapacityError(f"{leaf_count} leaves exceed the generator's cap {MAX_LEAVES}")
+    _check_seed(seed)
     rng = random.Random(seed)
     leaves = ["0", "1"]
     while len(leaves) < leaf_count:

@@ -42,10 +42,10 @@ __all__ = [*_EXPORTS["dimension"]]
 # time, charged as n_max * nodes * (N+1) * (l_max+1).  canon {0, 10, 11} at
 # N=600, L=900 is charged 0.56 million bytes and 3.2 million steps, the
 # largest canon table the byte cap admits (N = L = 10**4) about 6e8 steps.
-# Both charges bound the work from above: the reachability is L+1 bitsets
-# of N+1 bits, the rows are one root row per step for the last l_max steps,
-# and a step costs (N+1) cells per distinct length and per class of nodes.
-# The big-integer size of the row counts (up to L bits each) is not charged.
+# Both charges bound the work from above: the reachability is L+1+l_max
+# bitsets of N+1 bits, the rows are one root row per step for the last l_max
+# steps, and a step costs (N+1) cells per distinct length and per class of
+# nodes.  The row counts' big-integer size (up to L bits each) is not charged.
 MAX_REACH_CELLS = 10**8
 MAX_PREFIX_STEPS = 2 * 10**9
 
@@ -133,17 +133,16 @@ class PrefixCountTable(NamedTuple):
 
 def _achievable_rows(spectrum: LengthSpectrum, n_symbols: int, budget: int) -> list[int]:
     """Reachability as bitsets: bit m of cols[j] is set iff m codewords can
-    total j bits, for m up to n_symbols and j up to budget."""
+    total j bits, for m up to n_symbols and j up to budget.  l_max zero
+    cells follow cols[budget], so a read at j - l < 0 for l <= l_max is 0."""
     keep = (1 << n_symbols + 1) - 1
     lengths = spectrum.lengths
-    cols = [1]
+    cols = [1] + [0] * (budget + spectrum.l_max)
     for j in range(1, budget + 1):
         acc = 0
         for l in lengths:
-            if l > j:
-                break
             acc |= cols[j - l]
-        cols.append(acc << 1 & keep)
+        cols[j] = acc << 1 & keep
     return cols
 
 
@@ -257,8 +256,7 @@ def prefix_counts(
         for (depth, ends), size in classes.items():
             mask = 0
             for e in ends:
-                if e <= left:
-                    mask |= cols[left - e]
+                mask |= cols[left - e]
             lo, row = rows[-depth]
             count += size * sum(compress(row, fits(mask)[lo:]))
         # the root row of the strings that gain a codeword, by k before it

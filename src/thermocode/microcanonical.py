@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .codes import Code, LengthSpectrum, Pmf, _check_alphabet, _check_n_symbols
+from .codes import Code, LengthSpectrum, Pmf, _check_alphabet, _check_n_symbols, _check_seed
 from .errors import CapacityError, UnachievableLengthError
 
 __all__ = [*_EXPORTS["microcanonical"]]
@@ -461,8 +461,7 @@ def sample_messages(
     _check_n_symbols(n_symbols)
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if seed < 0:  # numpy's refusal does not name the value
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     if n_symbols > MAX_SAMPLE_SYMBOLS:
         raise CapacityError(
             f"a message of {n_symbols} symbols exceeds the sampler's cap {MAX_SAMPLE_SYMBOLS}"

@@ -94,6 +94,17 @@ def test_check_reports_a_non_optimal_pmf(capsys, tmp_path):
     assert out.splitlines()[4:] == ["complete=true", "H=1.5709505944546684", "L_X=1.6000000000000001", "optimal=false"]
 
 
+@pytest.mark.parametrize("first", ["0.5000000000001", 0.5000000000001], ids=["string", "float"])
+def test_check_compares_a_float_pmf_within_its_tolerance(capsys, tmp_path, first):
+    # one float probability makes the pmf float: a string entry beside it
+    # compares within 1e-12 as well
+    p = tmp_path / "mixed.json"
+    p.write_text(_doc(("a", "0", first), ("b", "10", 0.25), ("c", "11", 0.2499999999999)))
+    rc, out, _ = run(capsys, "check", "--code", str(p))
+    assert rc == 0
+    assert out.splitlines()[5:] == ["H=1.4999999999999001", "L_X=1.4999999999999001", "optimal=true"]
+
+
 def test_kv_formats_each_value_as_a_cell():
     pairs = [
         ("i", 7), ("f", 0.1), ("pos", math.inf), ("neg", -math.inf), ("nan", math.nan),
@@ -155,6 +166,7 @@ LONG_VALUE_DOCS = {
     "duplicate-codeword": _doc(("a", "0" * LONG), ("b", "0" * LONG)),
     "prefix-violation": _doc(("a", "0" * LONG), ("b", "0" * LONG + "1")),
     "duplicate-symbol": _doc(("a" * LONG, "0"), ("a" * LONG, "1")),
+    "wide-symbol-with-whitespace": _doc(("\u00e9 " + "\u4e2d" * LONG, "0")),
 }
 
 
@@ -164,8 +176,8 @@ def test_a_long_bad_value_makes_a_short_error_line(capsys, tmp_path, name):
     p.write_text(LONG_VALUE_DOCS[name])
     rc, out, err = run(capsys, "check", "--code", str(p))
     assert (rc, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 500
-    assert "characters left out]" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 500
+    assert "characters left out]" in err and err.isascii()
     # a library caller still gets the whole message
     with pytest.raises(ValueError) as info:
         parse_code(LONG_VALUE_DOCS[name])
@@ -912,6 +924,11 @@ def test_gen_refuses_more_leaves_than_its_cap(capsys):
     rc, out, err = run(capsys, "gen", "--leaves", "65537", "--seed", "1")
     assert (rc, out) == (3, "")
     assert err == "error: 65537 leaves exceed the generator's cap 65536\n"
+
+
+def test_gen_negative_seed_exit_one(capsys):
+    rc, out, err = run(capsys, "gen", "--leaves", "5", "--seed", "-1")
+    assert (rc, out, err) == (1, "", "error: seed must be a non-negative integer, got -1\n")
 
 
 def test_gen_deterministic(capsys):

@@ -610,6 +610,10 @@ def test_absolute_optimality_float_pmf_and_alphabet():
     # float mode compares within PROB_TOL, both ways
     assert is_absolutely_optimal(code, Pmf({"a": 0.5 + 1e-13, "b": 0.25, "c": 0.25 - 1e-13}))
     assert not is_absolutely_optimal(code, Pmf({"a": 0.5, "b": 0.3, "c": 0.2}))
+    # one float makes the pmf float: its exact entries compare within PROB_TOL too
+    mixed = Pmf({"a": "0.5000000000001", "b": 0.25, "c": 0.2499999999999})
+    assert not mixed.exact and is_absolutely_optimal(code, mixed)
+    assert not is_absolutely_optimal(code, Pmf({"a": "0.5", "b": 0.3, "c": 0.2}))
     with pytest.raises(UnknownSymbolError):
         is_absolutely_optimal(code, Pmf({"a": "0.5", "b": "0.5"}))
 
@@ -650,6 +654,12 @@ def test_generator_smallest_cases():
         random_complete_code(1, 0)
     with pytest.raises(ValueError):
         random_complete_code(0, 0)
+
+
+def test_generator_refuses_a_negative_seed():
+    # random.Random would seed from |seed| and give the code of seed 1
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        random_complete_code(5, -1)
 
 
 def test_generator_refuses_more_leaves_than_its_cap(monkeypatch):

@@ -243,6 +243,8 @@ def prefix_cases(draw):
 @example(case=(Code({"a": "0", "b": "111"}), 6, 12, None))  # lattice step 2
 @example(case=(CANON, 5, 8, 4))  # cut by n_max
 @example(case=(Code({"a": "01"}), 4, 8, None))  # one word
+@example(case=(Code({"a": "0", "b": "11"}), 1, 1, None))  # L below l_max
+@example(case=(Code({"a": "0", "b": "10", "c": "110", "d": "11100", "e": "11101"}), 2, 3, None))
 def test_prefix_counts_match_enumeration_on_whole_codes(case):
     code, n, total, n_max = case
     got = prefix_counts(code, n, total, n_max=n_max)
@@ -306,6 +308,23 @@ def test_prefix_counts_step_guard(monkeypatch):
     monkeypatch.setattr(dimension, "_achievable_rows", built)
     with pytest.raises(CapacityError, match=r"^prefix table needs 1\.74e\+10 DP steps"):
         prefix_counts(random_complete_code(4096, 1), 100, 1501)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sp=kraft_spectra(), n=st.integers(1, 8), budget=st.integers(0, 40))
+@example(sp=LengthSpectrum({1: 1, 9: 255, 11: 4}), n=4, budget=3)
+@example(sp=LengthSpectrum({3: 8}), n=3, budget=2)
+def test_achievable_rows_match_the_sums_of_lengths(sp, n, budget):
+    # bit m of cols[j] iff some m lengths sum to j, and l_max zero cells
+    # after cols[budget] for the reads before cell 0
+    sums = [{0}]
+    for _ in range(n):
+        sums.append({t + l for t in sums[-1] for l in sp.lengths if t + l <= budget})
+    cols = dimension._achievable_rows(sp, n, budget)
+    assert len(cols) == budget + 1 + sp.l_max
+    for j in range(budget + 1):
+        assert cols[j] == sum(1 << m for m in range(n + 1) if j in sums[m])
+    assert cols[budget + 1 :] == [0] * sp.l_max
 
 
 def prefix_string_classes(code: Code) -> tuple[int, Counter]:

@@ -25,7 +25,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, islice, repeat, starmap, tee
+from itertools import accumulate, chain, islice, repeat, starmap, tee
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -281,6 +281,8 @@ def _parse_grid(text: str) -> list[float]:
         raise CodeError(f"bad --grid {text!r}: {exc}") from exc
     if count < 1 or not -math.inf < lo <= hi < math.inf:
         raise CodeError(f"bad --grid {text!r}: need finite LO <= HI and COUNT >= 1")
+    if hi - lo == math.inf:
+        raise CodeError(f"bad --grid {text!r}: HI - LO overflows a float")
     if count > MAX_GRID_POINTS:
         raise CapacityError(f"--grid COUNT {count} exceeds the cap {MAX_GRID_POINTS}")
     # the points of np.linspace(lo, hi, count), by the same IEEE operations in
@@ -448,6 +450,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(saved)
 
 
+def _ascii(text: str) -> str:
+    return text.encode("ascii", "backslashreplace").decode()
+
+
+def _fits(chars: str) -> int:
+    """How many of chars, in order, fit in 200 ASCII characters once each
+    is escaped whole (\\xe9, \\u4e2d)."""
+    return sum(1 for used in accumulate(len(_ascii(c)) for c in chars) if used <= 200)
+
+
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -466,8 +478,9 @@ def _run(argv: list[str] | None) -> int:
     except (CapacityError, OSError, ValueError) as exc:  # CodeError and InfeasibleError are ValueErrors
         message = str(exc)  # it may quote a bad value whole: a long one prints its two ASCII ends
         if len(message) > 400:
-            message = message.encode("ascii", "backslashreplace").decode()
-            message = f"{message[:200]} ...[{len(message) - 400} characters left out]... {message[-200:]}"
+            head, tail = _fits(message[:200]), _fits(message[-200:][::-1])
+            left_out = len(message) - head - tail
+            message = f"{_ascii(message[:head])} ...[{left_out} characters left out]... {_ascii(message[len(message) - tail:])}"
         print(f"error: {message}", file=sys.stderr)
         return 3 if isinstance(exc, CapacityError) else 2 if isinstance(exc, InfeasibleError) else 1
 

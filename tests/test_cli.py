@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -196,6 +197,24 @@ def test_an_error_message_over_400_characters_prints_its_ends(capsys, monkeypatc
     assert run(capsys, "check", "--code", "code.json") == (1, "", f"error: {shown}\n")
 
 
+def test_a_clipped_line_shows_whole_escapes_and_counts_the_messages_characters(capsys, tmp_path):
+    text = LONG_VALUE_DOCS["wide-symbol-with-whitespace"]
+    p = tmp_path / "wide.json"
+    p.write_text(text)
+    _, _, err = run(capsys, "check", "--code", str(p))
+    with pytest.raises(ValueError) as info:
+        parse_code(text)
+    message = str(info.value)
+    head, left_out, tail = re.fullmatch(r"error: (.*) \.\.\.\[(\d+) characters left out\]\.\.\. (.*)\n", err).groups()
+    # each end is at most 200 ASCII characters, as full as an escape (at
+    # most 10 characters) allows, and decodes to an end of the message: an
+    # escape cut in two would not decode, or would not be an end
+    assert 190 < len(head) <= 200 and 190 < len(tail) <= 200
+    head, tail = (end.encode().decode("unicode_escape") for end in (head, tail))
+    assert message.startswith(head) and message.endswith(tail)
+    assert int(left_out) == len(message) - len(head) - len(tail)
+
+
 def test_missing_file_is_exit_one(capsys):
     rc, _, err = run(capsys, "check", "--code", "/nonexistent/code.json")
     assert rc == 1
@@ -356,6 +375,14 @@ def test_omega_window_modes_print_the_same_columns(tmp_path_factory, code, n, wi
     assert exact == _omega_columns(str(path), n, window, "log")
 
 
+@pytest.mark.parametrize("window", ["0", "3", "1999"])
+def test_omega_modes_print_the_same_columns_on_3000_bit_counts(canon_path, window):
+    # canon at N = 2000 counts up to 3**2000, about 3,170 bits: no window
+    # makes one pass, --window 3 tees one recurrence between its two passes
+    # and --window 1999 reruns it for each
+    assert _omega_columns(canon_path, 2000, window, "exact") == _omega_columns(canon_path, 2000, window, "log")
+
+
 @pytest.mark.parametrize(
     "window", [[], ["--window", "2"], ["--window", "inf"]], ids=["plain", "window", "inf"]
 )
@@ -435,6 +462,24 @@ def test_exact_temperature_passes_no_capacity_guard(capsys, canon_path, monkeypa
         exact = run(capsys, "temperature", "--code", canon_path, "-N", "3", *L)
         log = run(capsys, "temperature", "--code", canon_path, "-N", "3", "--mode", "log", *L)
         assert exact == log and exact[0] == 0
+
+
+def test_temperature_runs_where_the_real_guard_refuses_exact_omega(capsys, canon_path):
+    # canon at N = 60,000 needs up to 5.7e9 bits of exact counts, over
+    # MAX_EXACT_BITS; temperature reads the log table and its exact L*,
+    # which is 3N/2 on canon
+    assert run(capsys, "omega", "--code", canon_path, "-N", "60000")[0] == 3
+    rc, out, _ = run(capsys, "temperature", "--code", canon_path, "-N", "60000")
+    assert rc == 0 and kv(out)["L_star"] == "90000"
+
+
+def test_temperature_modes_print_the_same_bytes_on_a_16_word_code(capsys, tmp_path):
+    path = tmp_path / "g16.json"
+    path.write_text(dump_code(random_complete_code(16, 1)))
+    for L in ([], ["-L", "700"]):
+        exact = run(capsys, "temperature", "--code", str(path), "-N", "200", "--mode", "exact", *L)
+        assert exact == run(capsys, "temperature", "--code", str(path), "-N", "200", "--mode", "log", *L)
+        assert exact[0] == 0
 
 
 def test_log_omega_window_passes_no_capacity_guard(capsys, canon_path, monkeypatch):
@@ -590,6 +635,12 @@ def test_gibbs_infinite_temperature_unsigned(capsys, canon_path):
     assert rc == 0
     row = out.strip().splitlines()[1].split(",")
     assert row[1] == "inf"
+
+
+def test_gibbs_prints_an_overflowing_partition_function_as_inf(capsys, canon_path):
+    # log2 Z is about 4001 at beta -2000: Z prints inf, the other columns are finite
+    rc, out, _ = run(capsys, "gibbs", "--code", canon_path, "--beta", "-2000")
+    assert (rc, out.splitlines()[1]) == (0, "-2000,-0.00050000000000000001,inf,2,1")
 
 
 def test_gibbs_by_temperature(capsys, canon_path):
@@ -777,6 +828,13 @@ def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
     assert [x.hex() for x in got] == [x.hex() for x in sorted(want)]
 
 
+@pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-1.7e308:1.7e308:1"])
+def test_dimension_grid_whose_width_overflows_exit_one(capsys, canon_path, grid):
+    # HI - LO is inf, so np.linspace's points would be nan
+    rc, out, err = run(capsys, "dimension", "--code", canon_path, f"--grid={grid}")
+    assert (rc, out, err) == (1, "", f"error: bad --grid {grid!r}: HI - LO overflows a float\n")
+
+
 def test_dimension_grid_over_cap_exit_three(capsys, canon_path):
     # refused before the hundred-million-point grid is built
     rc, out, err = run(capsys, "dimension", "--code", canon_path, "--grid=0:1:100000000")
@@ -826,6 +884,21 @@ def test_prefixes_step_capacity_exit_three(capsys, tmp_path, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err.startswith("error: prefix table needs 1.74e+10 DP steps")
+
+
+def test_a_100000_bit_codeword_is_checked_at_once_and_its_prefix_table_refused(capsys, tmp_path):
+    # parsing and checking cost linear time; prefixes refuses its 2e15 DP
+    # steps before building anything per code-tree node
+    p = tmp_path / "long.json"
+    p.write_text(_doc(("a", "0" * LONG)))
+    started = time.process_time()
+    rc, out, _ = run(capsys, "check", "--code", str(p))
+    assert time.process_time() - started < 1.0
+    assert rc == 0 and kv(out)["l_max"] == str(LONG)
+    started = time.process_time()
+    rc, out, err = run(capsys, "prefixes", "--code", str(p), "-N", "1", "-L", str(LONG))
+    assert time.process_time() - started < 1.0
+    assert (rc, out) == (3, "") and err.startswith("error: prefix table needs")
 
 
 @pytest.mark.parametrize(
@@ -882,6 +955,41 @@ def test_sample_longer_than_the_cap_exit_three(capsys, canon_path):
     assert rc == 3
     assert out == ""
     assert "1000001 symbols" in err
+
+
+def test_sample_draws_a_message_longer_than_a_chunk_in_pieces(capsys, tmp_path, monkeypatch):
+    # 70,000 symbols is over _SAMPLE_CHUNK_CELLS: one message a block, drawn
+    # in pieces, each total a histogram of its own.  Each piece takes its
+    # uniforms next in the generator's stream, so the pieces draw the
+    # messages that one piece a message draws
+    from thermocode import gibbs_state, microcanonical
+
+    code = random_complete_code(16, 1)
+    path = tmp_path / "g16.json"
+    path.write_text(dump_code(code))  # without probabilities: the dyadic law
+    argv = ("sample", "--code", str(path), "-N", "70000", "--draws", "3", "--seed", "1")
+    assert 70000 > microcanonical._SAMPLE_CHUNK_CELLS
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0
+    histogram = {int(L): int(c) for L, c in (line.split(",") for line in out.splitlines()[1:])}
+    assert sum(histogram.values()) == 3
+    assert float(kv(err)["mean_total"]) == pytest.approx(sum(L * c for L, c in histogram.items()) / 3)
+    # each total sums 70,000 i.i.d. lengths of the dyadic law
+    state = gibbs_state(code.spectrum(), 1.0)
+    for L in histogram:
+        assert abs(L - 70000 * state.mean_length) < 6 * math.sqrt(70000 * state.variance)
+    monkeypatch.setattr(microcanonical, "_SAMPLE_CHUNK_CELLS", 1 << 17)
+    assert run(capsys, *argv) == (rc, out, err)
+
+
+def test_sample_at_the_symbol_cap_is_quick(capsys, canon_path):
+    started = time.process_time()
+    rc, _, err = run(
+        capsys, "sample", "--code", canon_path, "-N", "1000000", "--draws", "3",
+        "--seed", "7", "--focus-L", "1500000",
+    )
+    assert time.process_time() - started < 2.0
+    assert rc == 0 and kv(err)["draws"] == "3"
 
 
 def test_sample_negative_seed_exit_one(capsys, canon_path):

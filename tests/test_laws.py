@@ -1,4 +1,6 @@
-"""The paper's T = 1 claim and ensemble equivalence as 1/N laws.
+"""The paper's T = 1 claim and ensemble equivalence as 1/N laws, the
+microcanonical postulate away from T = 1, and the Gibbs law as the marginal
+of one codeword.
 
 Daniels' saddle-point expansion (1954), taken to its Edgeworth term, gives
 both claims with their finite-N coefficients from the length cumulants
@@ -20,21 +22,35 @@ Each law is checked against the log2 of Miller's exact counts by its rate:
 the residual at a larger N against the residual at N, not a fixed
 tolerance.  The cumulants come from gibbs._stats, the code under test, or
 from the exact rational sums of strategies.exact_stats.
+
+- The microcanonical postulate: conditioned on the total L, messages
+  drawn from the Gibbs law at any beta are uniform over the Omega(L)
+  messages of that length, since each weighs 2**(-beta*L)/Z**N.
+- The Gibbs law from the postulate: the first of N codewords, uniform over
+  the Omega_N(L) messages, has length l with probability
+  d_l*Omega_(N-1)(L - l)/Omega_N(L), which tends to the Gibbs law at
+  beta*(L/N) with a total variation falling as 1/N.
 """
 
 import math
+from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 
 from thermocode import (
+    Code,
     LengthSpectrum,
     TwoCodeSystem,
     beta_for_mean_length,
+    count_messages,
     count_messages_log,
+    gibbs_state,
     mean_length,
     most_probable_length,
     random_complete_code,
+    sample_messages,
     solve_equilibrium,
     temperature_at,
 )
@@ -136,3 +152,67 @@ def test_equilibrium_peak_sits_at_the_split_plus_its_offset(beta):
 
     d, d2 = residual(300), residual(3000)
     assert d != 0.0 and abs(d2) <= 0.15 * abs(d), (d, d2)
+
+
+CANON = Code({"a": "0", "b": "10", "c": "11"})
+
+
+@pytest.mark.parametrize(
+    "code, n, total",
+    [
+        (CANON, 6, 8),  # beta* = 2
+        (CANON, 6, 10),  # beta* = 0
+        (CANON, 6, 11),  # beta* = -1.32
+        (random_complete_code(16, 7), 3, 10),  # beta* = 2.67
+        (random_complete_code(16, 7), 3, 15),  # beta* = -0.50
+    ],
+)
+def test_messages_of_one_length_are_uniform_at_any_temperature(code, n, total):
+    import scipy.stats
+
+    spectrum = code.spectrum()
+    pmf = gibbs_state(spectrum, beta_for_mean_length(spectrum, total / n)).pmf_for(code)
+    report = sample_messages(code, pmf, n, 200_000, seed=20261020, focus_total=total)
+    counts = report.conditional_counts
+    assert len(counts) == count_messages(spectrum, n).count(total)
+    # the false-alarm rate acceptance criterion 10 uses
+    assert scipy.stats.chisquare(list(counts.values())).pvalue >= 0.001
+
+
+@cache
+def _counts(spectrum: LengthSpectrum, n: int):
+    return count_messages(spectrum, n)
+
+
+def _first_length_law(spectrum: LengthSpectrum, n: int, total: int) -> dict[int, Fraction]:
+    """P(first length l | L) = d_l*Omega_(N-1)(L - l)/Omega_N(L), exactly."""
+    rest, whole = _counts(spectrum, n - 1), _counts(spectrum, n).count(total)
+    return {l: Fraction(d * rest.count(total - l), whole) for l, d in spectrum.degeneracy.items()}
+
+
+@pytest.mark.parametrize("code", [CANON, random_complete_code(5, 2), random_complete_code(8, 3)])
+def test_first_codeword_law_matches_enumeration(code):
+    spectrum = code.spectrum()
+    word_lengths = [code.length(s) for s in code.symbols]
+    for n in (2, 3, 4):
+        messages = {}  # total length -> the first codeword's length of each message
+        for lengths in product(word_lengths, repeat=n):
+            messages.setdefault(sum(lengths), []).append(lengths[0])
+        for total, firsts in messages.items():
+            want = {l: Fraction(firsts.count(l), len(firsts)) for l in spectrum.lengths}
+            assert _first_length_law(spectrum, n, total) == want, (n, total)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.5, 1.0, 2.0])
+def test_first_codeword_tends_to_the_gibbs_law_as_one_over_n(beta):
+    spectrum = random_complete_code(16, 1).spectrum()
+
+    def distance(n: int) -> float:
+        total = round(n * mean_length(spectrum, beta))
+        gibbs = gibbs_state(spectrum, beta_for_mean_length(spectrum, total / n)).length_prob
+        law = _first_length_law(spectrum, n, total)
+        return sum(abs(float(law[l]) - d * gibbs[l]) for l, d in spectrum.degeneracy.items()) / 2
+
+    for n in (100, 400):
+        ratio = distance(2 * n) / distance(n)
+        assert 0.45 <= ratio <= 0.55, (n, ratio)

@@ -173,6 +173,15 @@ def test_import_loads_no_submodule():
     assert got == ["thermocode"]
 
 
+def test_importing_cli_loads_only_the_error_classes():
+    got = probe(
+        "import json, sys\n"
+        "import thermocode.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('thermocode'))))\n"
+    )
+    assert got == ["thermocode", "thermocode.cli", "thermocode.errors"]
+
+
 def test_package_names_resolve_on_first_access():
     got = probe(
         "import json, sys\n"

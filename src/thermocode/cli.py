@@ -191,11 +191,18 @@ def _cmd_omega(args):
 
 def _cmd_temperature(args):
     # S and T read only log2 counts, and the log table keeps the exact L*,
-    # so --mode exact and --mode log run this one path
+    # so --mode exact and --mode log run this one path; it folds Miller's
+    # counts only until L* is certified and the cell past L* (or -L) is in
     code, _ = _load_code(args.code)
-    table = _self.count_messages_log(code.spectrum(), args.n_symbols)
+    from .codes import _check_n_symbols
+    from .microcanonical import _log_table
+
+    _check_n_symbols(args.n_symbols)  # before a bad -L, as when the table came first
     star = args.total_bits is None
-    total = _self.most_probable_length(table) if star else _int_total(args.total_bits)
+    total = None if star else _int_total(args.total_bits)
+    table = _log_table(code.spectrum(), args.n_symbols, total, at_peak=star)
+    if star:
+        total = _self.most_probable_length(table)
     est = _self.temperature_at(table, total)
     entropy = _self.entropy_at(table, total)
     at = "_at_L_star" if star else ""

@@ -163,7 +163,7 @@ class LengthSpectrum:
     condition for a binary prefix code with these lengths to exist.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_lengths", "_log2_counts")
 
     def __init__(self, counts: Mapping[int, int]):
         if not counts:
@@ -176,6 +176,9 @@ class LengthSpectrum:
         self._counts = dict(sorted(counts.items()))
         if _kraft_ceiling(self._counts)[0] > 1:
             raise ValueError("Kraft sum exceeds 1: no prefix code has these lengths")
+        # read by every canonical sum (gibbs._partition), so found once
+        self._lengths = tuple(self._counts)
+        self._log2_counts = tuple(math.log2(d) for d in self._counts.values())
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "LengthSpectrum":
@@ -188,7 +191,7 @@ class LengthSpectrum:
     @property
     def lengths(self) -> tuple[int, ...]:
         """Distinct lengths, ascending."""
-        return tuple(self._counts)
+        return self._lengths
 
     def count(self, length: int) -> int:
         return self._counts.get(length, 0)

@@ -57,7 +57,7 @@ def _partition(spectrum: LengthSpectrum, beta: float) -> tuple[float, float, tup
         limit = sys.float_info.max / spectrum.l_max
         raise ValueError(f"beta {beta!r} is out of range: |beta| must stay below about {limit:.6g}")
     lengths = spectrum.lengths
-    log2w = [math.log2(spectrum.count(l)) - beta * l for l in lengths]
+    log2w = [log2d - beta * l for l, log2d in zip(lengths, spectrum._log2_counts)]
     shift = max(log2w)
     w = [2.0 ** (x - shift) for x in log2w]
     total = math.fsum(w)

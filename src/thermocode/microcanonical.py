@@ -48,10 +48,10 @@ MAX_BRUTE_MESSAGES = 10_000_000
 MAX_SAMPLE_SYMBOLS = 1_000_000
 
 # The sampler draws about this many symbols at a time: whole messages, or
-# one longer message in pieces of this many.  Each int64 array is 64 KiB,
+# one longer message in pieces of this many.  Each float64 array is 64 KiB,
 # below glibc's dynamic mmap threshold, so the heap keeps few of them
-# resident.  rng.choice reads its uniforms in C order, so no report depends
-# on this size.
+# resident.  The uniforms are drawn in C order, so no report depends on
+# this size.
 _SAMPLE_CHUNK_CELLS = 1 << 13
 
 
@@ -62,21 +62,48 @@ def _index(table: LogEnsembleTable, total_bits: int) -> int:
     return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
 
 
-def _log2_counts(counts: Iterable[int]) -> tuple[array, int | None]:
+def _log2_counts(
+    counts: Iterable[int], centre: int | None = None, kraft: tuple[int, int] | None = None
+) -> tuple[array, int | None]:
     """math.log2 of each exact count as float64, -inf for 0, and the index
     of the first count maximizing count * 2**-index (None if every count is
     0).  A count's bit length minus its index orders the weights but for
-    near-ties, which compare exactly: c > best << (i - peak)."""
+    near-ties, which compare exactly: c > best << (i - peak).
+
+    Given a centre index, the fold stops at the first achievable cell past
+    it, as the temperature at the centre then reads only cells already
+    folded; it folds on to the end when the centre is unachievable (so
+    _cell's refusal sees the whole range) or the entropy is the same on
+    both sides of it (so _slope finds the peak of the whole table).
+
+    Given kraft = (total, top), total = sum_i count_i * 2**(top - i) over
+    all the cells and top the last index (for Miller's counts, the code's
+    Kraft sum times 2**l_max, to the power N), the peak becomes the centre
+    once it is certified final, checked every 64 cells: once its weight is
+    at least the weight still to come, no later count outweighs it, and a
+    tie goes to the first.
+    """
     log2 = array("d")
     peak, best, key = None, 0, -math.inf
+    total, top = kraft or (0, 0)
+    mass = 0  # sum of the counts so far, count_i * 2**(i_now - i)
     for i, c in enumerate(counts):
-        if not c:
+        if c:
+            log2.append(math.log2(c))
+            k = c.bit_length() - i
+            if k > key or (k == key and c > best << (i - peak)):
+                peak, best, key = i, c, k
+        else:
             log2.append(-math.inf)
-            continue
-        log2.append(math.log2(c))
-        k = c.bit_length() - i
-        if k > key or (k == key and c > best << (i - peak)):
-            peak, best, key = i, c, k
+        if kraft:
+            mass = 2 * mass + c
+            if i & 63 == 63 and (best << (top - peak)) + (mass << (top - i)) >= total:
+                kraft, centre = None, peak
+        if centre is not None and 0 <= centre < i and (hi := _nearest(log2, centre, 1)) > centre:
+            lo = _nearest(log2, centre, -1)
+            if log2[centre] > -math.inf and log2[hi] != log2[lo]:
+                break
+            centre = None
     return log2, peak
 
 
@@ -270,8 +297,25 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     probable length found exactly from the counts as they passed, so
     most_probable_length gives count_messages' answer.
     """
-    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols))
-    table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
+    return _log_table(spectrum, n_symbols)
+
+
+def _log_table(
+    spectrum: LengthSpectrum, n_symbols: int, total_bits: int | None = None, at_peak: bool = False
+) -> LogEnsembleTable:
+    """count_messages_log's table, or its first cells: as many as the
+    temperature at total_bits, or with at_peak at the most probable length,
+    reads (see _log2_counts).  Such a table answers only for that length;
+    its peak is final with at_peak, and partial otherwise."""
+    _check_n_symbols(n_symbols)
+    l_min, l_max = spectrum.l_min, spectrum.l_max
+    centre = None if total_bits is None else total_bits - n_symbols * l_min
+    kraft = None
+    if at_peak:
+        scaled = sum(d << (l_max - l) for l, d in spectrum.degeneracy.items())
+        kraft = scaled**n_symbols, n_symbols * (l_max - l_min)
+    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols), centre, kraft)
+    table = LogEnsembleTable(n_symbols, n_symbols * l_min, log2_counts)
     table._peak = peak
     return table
 
@@ -455,8 +499,10 @@ def sample_messages(
     MAX_SAMPLE_SYMBOLS symbols raises CapacityError.  Blocks of max(1,
     _SAMPLE_CHUNK_CELLS // n_symbols) messages are drawn in pieces of at most
     _SAMPLE_CHUNK_CELLS symbols, so the working set is a few arrays of that
-    many cells, a histogram over the spread of one block's totals and, when
-    focusing, one block's symbols in their narrowest type, whatever the draws.
+    many cells (the uniforms, one flag or run index a cell and the block's
+    totals), a histogram over the spread of one block's totals and, when
+    focusing, the symbols of the hits (of one message drawn in pieces, all
+    its symbols) in their narrowest type, whatever the draws.
     """
     _check_n_symbols(n_symbols)
     if draws < 1:
@@ -471,11 +517,31 @@ def sample_messages(
 
     rng = np.random.default_rng(seed)
     words = [code.codeword(s) for s in code.symbols]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
     probs = np.array([float(p) for _, p in pmf.items()], dtype=np.float64)
-    probs = probs / probs.sum()  # exact-to-float residue
+    # rng.choice(len(words), p=...) maps a uniform u to the symbol
+    # cdf.searchsorted(u, side="right"); the sampler draws the uniforms
+    # itself and maps to symbols only the messages it keeps.  In document
+    # order the symbols fall into runs of one length, and u's codeword
+    # length is its run's: the count of run ends at or below u
+    cdf = (probs / probs.sum()).cumsum()  # exact-to-float residue
+    cdf /= cdf[-1]
+    starts = [i for i in range(len(words)) if not i or len(words[i]) != len(words[i - 1])]
+    ends = cdf[[i - 1 for i in starts[1:]]]
+    run_lengths = np.array([len(words[i]) for i in starts], dtype=np.int64)
     narrow = np.min_scalar_type(len(words) - 1)
     row_key = np.dtype((np.void, narrow.itemsize * n_symbols))  # a message as one item
+    whole = n_symbols <= _SAMPLE_CHUNK_CELLS  # one piece a message
+
+    def symbols(u):
+        return cdf.searchsorted(u, side="right").astype(narrow)
+
+    def totals_of(u):
+        """Each row's total length."""
+        ones = np.ones(u.shape[1], dtype=np.int64)
+        if len(ends) == 1:  # two runs: one comparison a symbol
+            short, long = run_lengths.tolist()
+            return short * len(ones) + (long - short) * ((u >= ends[0]) @ ones)
+        return run_lengths[ends.searchsorted(u, side="right")] @ ones
 
     hist: Counter[int] = Counter()
     keys: Counter[bytes] = Counter()
@@ -485,17 +551,20 @@ def sample_messages(
         totals = np.zeros(m, dtype=np.int64)
         parts = []
         for col in range(0, n_symbols, _SAMPLE_CHUNK_CELLS):
-            idx = rng.choice(len(words), size=(m, min(_SAMPLE_CHUNK_CELLS, n_symbols - col)), p=probs)
-            totals += lengths[idx].sum(axis=1)
+            u = rng.random((m, min(_SAMPLE_CHUNK_CELLS, n_symbols - col)))
+            totals += totals_of(u)
             if focus_total is not None:
-                parts.append(idx.astype(narrow))
+                # a block of whole messages keeps its uniforms for the hits;
+                # one message in pieces keeps each piece's symbols, narrow
+                parts.append(u if whole else symbols(u))
         lo = int(totals.min())
         binc = np.bincount(totals - lo)  # the spread of this block's totals
         nz = np.flatnonzero(binc)
         hist.update(dict(zip((nz + lo).tolist(), binc[nz].tolist())))
         if focus_total is not None and (hit := totals == focus_total).any():
             # each hit message as one packed key, joined into bits at the end
-            keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
+            rows = symbols(parts[0][hit]) if whole else np.concatenate(parts, axis=1)
+            keys.update(rows.view(row_key).ravel().tolist())
     bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
     return SampleReport(
         draws=draws,

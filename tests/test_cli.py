@@ -519,7 +519,10 @@ def test_omega_calls_no_table_builder(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("omega built a count table")
 
-    for module in (microcanonical, cli):
+    # cli first: reading a name off cli binds the package's own function
+    # there (and in the package) before microcanonical's is replaced, so
+    # neither keeps the refusing one once the patches are undone
+    for module in (cli, microcanonical):
         monkeypatch.setattr(module, "count_messages", refuse)
         monkeypatch.setattr(module, "count_messages_log", refuse)
     for name, case in cases.items():
@@ -541,6 +544,31 @@ def test_temperature_unachievable_exit_two(capsys, canon_path):
 def test_temperature_fractional_length_exit_two(capsys, canon_path):
     rc, _, err = run(capsys, "temperature", "--code", canon_path, "-N", "2", "-L", "3.5")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "words, n, total",
+    [
+        (("0", "10", "11"), 40, "39"),  # below the range
+        (("0", "10", "11"), 40, "81"),  # above it
+        (("0", "10", "11"), 40, "60.5"),  # between two lengths
+        (("0", "10", "11"), 0, "60.5"),  # the count of symbols is refused first
+        (("00", "01", *(format(i, "04b") for i in range(8, 16))), 40, "113"),  # in a lattice gap
+        (("000",), 7, "21"),  # one achievable length: no temperature
+    ],
+)
+def test_temperature_refuses_a_length_with_the_whole_tables_message(capsys, tmp_path, words, n, total):
+    # the command streams only part of the table, yet names the achievable
+    # range of the whole one, as temperature_at does on count_messages_log
+    from thermocode import count_messages_log, temperature_at
+
+    code = Code({f"s{i:02}": w for i, w in enumerate(words)})
+    path = tmp_path / "code.json"
+    path.write_text(dump_code(code))
+    rc, out, err = run(capsys, "temperature", "--code", str(path), "-N", str(n), "-L", total)
+    with pytest.raises((UnachievableLengthError, ValueError)) as refused:
+        temperature_at(count_messages_log(code.spectrum(), n), cli._int_total(float(total)))
+    assert (rc, out, err) == (2 if n else 1, "", f"error: {refused.value}\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -26,7 +26,7 @@ from thermocode import (
     random_complete_code,
     temperature_from_beta,
 )
-from thermocode.gibbs import _stats
+from thermocode.gibbs import _partition, _stats
 from strategies import exact_stats, kraft_spectra
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
@@ -61,6 +61,21 @@ def test_partition_function_values():
     assert state.z == 1.0
     assert gibbs_state(CANON_SP, 0.0).z == pytest.approx(3.0, abs=1e-12)
     assert gibbs_state(FIVE_SP, 1.0).z == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spectrum=kraft_spectra(), beta=st.floats(-50, 50))
+@example(spectrum=LengthSpectrum({1: 1, 9: 255, 11: 4}), beta=1.0)
+def test_partition_reads_the_log2_counts_the_spectrum_keeps(spectrum, beta):
+    # the spectrum takes math.log2 of each count once; the canonical sums
+    # read it and get the floats that taking it on every call gives
+    assert spectrum.lengths == tuple(spectrum.degeneracy)
+    log2w = [math.log2(spectrum.count(l)) - beta * l for l in spectrum.lengths]
+    shift = max(log2w)
+    w = [2.0 ** (x - shift) for x in log2w]
+    total = math.fsum(w)
+    mean = math.fsum(l * x for l, x in zip(spectrum.lengths, w)) / total
+    assert _partition(spectrum, beta) == (shift + math.log2(total), mean, spectrum.lengths, w, total)
 
 
 def test_partition_function_at_the_float_edge():

@@ -19,6 +19,7 @@ from thermocode import (
     EnsembleTable,
     LengthSpectrum,
     LogEnsembleTable,
+    Pmf,
     UnachievableLengthError,
     count_messages,
     count_messages_brute,
@@ -33,7 +34,7 @@ from thermocode import (
     temperature_at,
 )
 from thermocode import microcanonical
-from thermocode.microcanonical import _temperatures
+from thermocode.microcanonical import SampleReport, _temperatures
 from strategies import canonical_code, kraft_spectra, whole_codes
 
 CANON = Code({"a": "0", "b": "10", "c": "11"})
@@ -795,6 +796,108 @@ def test_count_concentration_canonical():
 
 
 # ---------------------------------------------------------------------------
+# the temperature command's streamed table
+# ---------------------------------------------------------------------------
+
+def _temperature_reading(table, total):
+    """(L, S, T, one_sided) as the temperature command reads them from a
+    table, at total or, for None, at its most probable length; a refusal
+    as its type and message."""
+    try:
+        if total is None:
+            total = most_probable_length(table)
+        est = temperature_at(table, total)
+        return total, entropy_at(table, total), est.value, est.one_sided
+    except UnachievableLengthError as exc:
+        return type(exc), str(exc)
+
+
+def streamed_cells(monkeypatch, spectrum, n, total=None):
+    """The table the temperature command streams, and how many of Miller's
+    counts it took."""
+    taken = []
+    miller = microcanonical._miller
+
+    def counting(*args):
+        for c in miller(*args):
+            taken.append(c)
+            yield c
+
+    monkeypatch.setattr(microcanonical, "_miller", counting)
+    table = microcanonical._log_table(spectrum, n, total, at_peak=total is None)
+    monkeypatch.setattr(microcanonical, "_miller", miller)
+    return table, len(taken)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spectrum=kraft_spectra(), n=st.integers(1, 40), where=st.floats(-0.05, 1.05))
+@example(spectrum=LengthSpectrum({1: 1, 9: 255, 11: 4}), n=40, where=0.5)  # near a sub-lattice
+@example(spectrum=LengthSpectrum({2: 1, 3: 2, 5: 3}), n=40, where=0.3)  # incomplete
+@example(spectrum=LengthSpectrum({2: 2, 4: 8}), n=40, where=0.42)  # lattice step 2: -L in a gap
+@example(spectrum=LengthSpectrum({3: 8}), n=7, where=0.0)  # one length: no temperature
+@example(spectrum=LengthSpectrum({1: 1, 3: 1}), n=40, where=0.5)  # -L at the centre: zero ΔS
+@example(spectrum=CANON_SP, n=40, where=1.0)  # -L at the top cell: one-sided
+@example(spectrum=CANON_SP, n=40, where=0.0)  # -L at the bottom cell: one-sided
+@example(spectrum=CANON_SP, n=40, where=-0.05)  # -L below the range
+@example(spectrum=CANON_SP, n=40, where=1.05)  # -L above the range
+def test_the_streamed_table_reads_what_the_whole_table_reads(spectrum, n, where):
+    # at L* and at -L: L*, S, T and one_sided, or the refusal, bit for bit
+    whole = count_messages_log(spectrum, n)
+    span = spectrum.l_max - spectrum.l_min
+    total = n * spectrum.l_min + math.floor(where * n * span)
+    for at in (None, total):
+        table = microcanonical._log_table(spectrum, n, at, at_peak=at is None)
+        assert table.offset == whole.offset
+        assert table._log2 == whole._log2[: len(table._log2)]
+        assert _temperature_reading(table, at) == _temperature_reading(whole, at)
+
+
+def test_a_zero_entropy_difference_streams_the_whole_table(monkeypatch):
+    # {1: 1, 3: 1} at N = 40: counts C(40, k) at 40 + 2k, so -L = 80 has
+    # equal entropies on both sides and T = +inf reads the table's first
+    # maximum; a length past it streams only to its upper neighbour
+    spectrum, n = LengthSpectrum({1: 1, 3: 1}), 40
+    table, taken = streamed_cells(monkeypatch, spectrum, n, 80)
+    assert taken == len(table._log2) == 81
+    assert temperature_at(table, 80) == (math.inf, False)
+    table, taken = streamed_cells(monkeypatch, spectrum, n, 84)
+    assert taken == len(table._log2) == 84 - 40 + 3
+
+
+def test_the_kraft_certificate_waits_for_a_heavier_later_cell():
+    # cells 0..63 weigh one unit each, cell 100 ten: past cell 63 most of the
+    # weight has passed, yet the rest could still (and does) outweigh the
+    # peak so far, so the fold goes on to the true peak
+    top = 100
+    counts = [1 << i for i in range(64)] + [0] * 36 + [10 << top]
+    log2, peak = microcanonical._log2_counts(counts, kraft=(74 << top, top))
+    assert (peak, len(log2)) == (100, 101)
+    # a cell lighter than the first one ends the stream at the next check
+    counts[-1] = 1 << top
+    log2, peak = microcanonical._log2_counts(counts, kraft=(65 << top, top))
+    assert (peak, len(log2)) == (0, 64)
+
+
+@pytest.mark.parametrize(
+    "spectrum, n, share", [(random_complete_code(64, 3).spectrum(), 200, 0.25), (CANON_SP, 2000, 0.55)]
+)
+def test_the_temperature_stream_stops_soon_after_l_star(monkeypatch, spectrum, n, share):
+    # the Kraft-total certificate fires: L* sits 14 % (g64) and 50 % (canon)
+    # into the N*span + 1 cells, and the stream ends a few standard
+    # deviations of the total length past it, the cell after L* among them
+    cells = n * (spectrum.l_max - spectrum.l_min) + 1
+    table, taken = streamed_cells(monkeypatch, spectrum, n)
+    lstar = most_probable_length(table) - table.offset
+    assert lstar < taken - 1
+    assert taken == len(table._log2) < share * cells
+    assert most_probable_length(table) == most_probable_length(count_messages_log(spectrum, n))
+    # -L 30 % into the support: up to its upper neighbour only
+    total = table.offset + (cells - 1) * 3 // 10
+    table, taken = streamed_cells(monkeypatch, spectrum, n, total)
+    assert taken == len(table._log2) == total - table.offset + 2
+
+
+# ---------------------------------------------------------------------------
 # unimodality of the counts
 # ---------------------------------------------------------------------------
 
@@ -942,6 +1045,74 @@ def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
     want = Counter(map(len, replayed_messages(code, pmf, n, draws, seed=13)))
     assert report.histogram == dict(sorted(want.items()))
     assert min(want) >= 2 * n and len(want) > 5
+
+
+def choice_sample(code, pmf, n_symbols, draws, seed, focus_total=None) -> SampleReport:
+    """The sampler as it drew with rng.choice, one int64 symbol array a
+    piece, every symbol kept when focusing: its oracle."""
+    rng = np.random.default_rng(seed)
+    words = [code.codeword(s) for s in code.symbols]
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    probs = np.array([float(p) for _, p in pmf.items()], dtype=np.float64)
+    probs = probs / probs.sum()
+    narrow = np.min_scalar_type(len(words) - 1)
+    row_key = np.dtype((np.void, narrow.itemsize * n_symbols))
+    hist: Counter[int] = Counter()
+    keys: Counter[bytes] = Counter()
+    chunk = microcanonical._SAMPLE_CHUNK_CELLS
+    block = max(1, chunk // n_symbols)
+    for done in range(0, draws, block):
+        m = min(block, draws - done)
+        totals = np.zeros(m, dtype=np.int64)
+        parts = []
+        for col in range(0, n_symbols, chunk):
+            idx = rng.choice(len(words), size=(m, min(chunk, n_symbols - col)), p=probs)
+            totals += lengths[idx].sum(axis=1)
+            if focus_total is not None:
+                parts.append(idx.astype(narrow))
+        hist.update(totals.tolist())
+        if focus_total is not None and (hit := totals == focus_total).any():
+            keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
+    bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
+    return SampleReport(
+        draws=draws,
+        n_symbols=n_symbols,
+        histogram=dict(sorted(hist.items())),
+        focus_total=focus_total,
+        conditional_counts=dict(sorted(zip(bits, keys.values()))) if focus_total is not None else None,
+    )
+
+
+# lengths 1, 3, 2, 3 in document order: four runs of one length
+ALTERNATING = Code({"a": "0", "b": "100", "c": "11", "d": "101"})
+
+
+@pytest.mark.parametrize(
+    "code, pmf, n, draws",
+    [
+        (CANON, dyadic_pmf(CANON), 4, 50_000),  # two runs: one comparison a symbol
+        (random_complete_code(16, 1), None, 10, 20_000),
+        (random_complete_code(64, 3), None, 8, 20_000),
+        (ALTERNATING, None, 5, 20_000),
+        (CANON, Pmf({"a": 0.6, "b": 0.3, "c": 0.1}), 6, 20_000),  # not dyadic
+        (ALTERNATING, Pmf({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}), 5, 20_000),
+        (Code({"a": "00", "b": "01", "c": "10"}), Pmf({"a": 0.5, "b": 0.25, "c": 0.25}), 3, 2_000),  # one run
+        (CANON, dyadic_pmf(CANON), 9000, 4),  # over a chunk: one message in pieces
+    ],
+    ids=["canon", "g16", "g64", "alternating", "canon-float", "alternating-float", "one-length", "pieces"],
+)
+@pytest.mark.parametrize("seed", [1, 7, 20260819])
+def test_sampler_matches_the_choice_oracle(code, pmf, n, draws, seed):
+    # the uniforms map to lengths through the run ends and to symbols only
+    # at the hits, so the stream, the histogram and the focused messages
+    # are rng.choice's; the focus is the most frequent total, so it hits
+    pmf = pmf or dyadic_pmf(code)
+    report = sample_messages(code, pmf, n, draws, seed)
+    assert report == choice_sample(code, pmf, n, draws, seed)
+    focus = max(report.histogram, key=report.histogram.get)
+    focused = sample_messages(code, pmf, n, draws, seed, focus_total=focus)
+    assert focused == choice_sample(code, pmf, n, draws, seed, focus_total=focus)
+    assert focused.histogram == report.histogram and focused.conditional_counts
 
 
 def test_sampling_validates_inputs():

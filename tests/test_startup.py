@@ -231,7 +231,7 @@ def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
     got = probe(
         "import contextlib, io, json\n"
         "from thermocode import cli\n"
-        "original = cli.count_messages_log\n"
+        "original = cli.temperature_at\n"
         "calls = []\n"
         "def wrapper(*args):\n"
         "    calls.append(args[1])\n"
@@ -241,15 +241,18 @@ def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(g16):
         "    with contextlib.redirect_stdout(out):\n"
         f"        assert cli.main({argv!r}) == 0\n"
         "    return out.getvalue()\n"
-        "cli.count_messages_log = wrapper\n"
+        "cli.temperature_at = wrapper\n"
         "wrapped = run()\n"
         "after_wrap = list(calls)\n"
-        "cli.count_messages_log = original\n"
+        "cli.temperature_at = original\n"
         "plain = run()\n"
         "print(json.dumps({'calls': after_wrap, 'later': calls, 'same': wrapped == plain,\n"
-        "                  'restored': cli.count_messages_log is original}))\n"
+        "                  'restored': cli.temperature_at is original,\n"
+        "                  'L_star': int(wrapped.split('L_star=')[1].split()[0])}))\n"
     )
-    assert got == {"calls": [4], "later": [4], "same": True, "restored": True}
+    # the wrapper saw the one length the command printed, L*
+    lstar = got.pop("L_star")
+    assert got == {"calls": [lstar], "later": [lstar], "same": True, "restored": True}
 
 
 def test_every_name_a_cli_function_loads_is_defined_or_public():
@@ -289,7 +292,7 @@ def test_every_name_a_cli_function_loads_is_defined_or_public():
     assert got["not_read"] == []
     assert sorted(set(got["read"]) - set(got["public"])) == []
     # every command's library calls go through _self
-    assert {"parse_code", "count_messages_log", "gibbs_state", "prefix_counts"} <= set(got["read"])
+    assert {"parse_code", "temperature_at", "gibbs_state", "prefix_counts"} <= set(got["read"])
 
 
 def test_check_gen_and_early_refusals_never_load_numpy(tmp_path):

@@ -197,10 +197,10 @@ def _cmd_temperature(args):
     from .codes import _check_n_symbols
     from .microcanonical import _log_table
 
-    _check_n_symbols(args.n_symbols)  # before a bad -L, as when the table came first
+    _check_n_symbols(args.n_symbols)  # N < 1 exits 1 before a bad -L exits 2
     star = args.total_bits is None
     total = None if star else _int_total(args.total_bits)
-    table = _log_table(code.spectrum(), args.n_symbols, total, at_peak=star)
+    table = _log_table(code.spectrum(), args.n_symbols, total)
     if star:
         total = _self.most_probable_length(table)
     est = _self.temperature_at(table, total)

@@ -70,18 +70,19 @@ def _log2_counts(
     0).  A count's bit length minus its index orders the weights but for
     near-ties, which compare exactly: c > best << (i - peak).
 
-    Given a centre index, the fold stops at the first achievable cell past
-    it, as the temperature at the centre then reads only cells already
-    folded; it folds on to the end when the centre is unachievable (so
-    _cell's refusal sees the whole range) or the entropy is the same on
-    both sides of it (so _slope finds the peak of the whole table).
+    Given a centre index (_log_table's integer total_bits), the fold stops
+    at the first achievable cell past it, as the temperature at the centre
+    then reads only cells already folded; it folds on to the end when the
+    centre is unachievable (a gap inside N*l_min..N*l_max, so _cell's
+    refusal sees the whole range) or the entropy is the same on both sides
+    of it (so _slope finds the peak of the whole table).
 
-    Given kraft = (total, top), total = sum_i count_i * 2**(top - i) over
-    all the cells and top the last index (for Miller's counts, the code's
-    Kraft sum times 2**l_max, to the power N), the peak becomes the centre
-    once it is certified final, checked every 64 cells: once its weight is
-    at least the weight still to come, no later count outweighs it, and a
-    tie goes to the first.
+    Given kraft = (total, top) (_log_table's None), total =
+    sum_i count_i * 2**(top - i) over all the cells and top the last index
+    (for Miller's counts, the code's Kraft sum times 2**l_max, to the power
+    N), the peak becomes the centre once it is certified final, checked
+    every 64 cells: once its weight is at least the weight still to come,
+    no later count outweighs it, and a tie goes to the first.
     """
     log2 = array("d")
     peak, best, key = None, 0, -math.inf
@@ -297,25 +298,30 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     probable length found exactly from the counts as they passed, so
     most_probable_length gives count_messages' answer.
     """
-    return _log_table(spectrum, n_symbols)
+    return _fold(spectrum, n_symbols)
 
 
-def _log_table(
-    spectrum: LengthSpectrum, n_symbols: int, total_bits: int | None = None, at_peak: bool = False
-) -> LogEnsembleTable:
-    """count_messages_log's table, or its first cells: as many as the
-    temperature at total_bits, or with at_peak at the most probable length,
-    reads (see _log2_counts).  Such a table answers only for that length;
-    its peak is final with at_peak, and partial otherwise."""
+def _log_table(spectrum: LengthSpectrum, n_symbols: int, total_bits: int | None) -> LogEnsembleTable:
+    """The first cells of count_messages_log's table that one temperature
+    reads: at the most probable length, certified final, for None (the peak
+    is final); at total_bits for an integer (the peak is partial).  A
+    total_bits outside N*l_min..N*l_max, whose end counts d_min**N and
+    d_max**N are never 0, is refused before any count is folded, with the
+    message _cell gives on the whole table."""
     _check_n_symbols(n_symbols)
-    l_min, l_max = spectrum.l_min, spectrum.l_max
-    centre = None if total_bits is None else total_bits - n_symbols * l_min
-    kraft = None
-    if at_peak:
-        scaled = sum(d << (l_max - l) for l, d in spectrum.degeneracy.items())
-        kraft = scaled**n_symbols, n_symbols * (l_max - l_min)
-    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols), centre, kraft)
-    table = LogEnsembleTable(n_symbols, n_symbols * l_min, log2_counts)
+    lo, hi = n_symbols * spectrum.l_min, n_symbols * spectrum.l_max
+    if total_bits is None:
+        scaled = sum(d << (spectrum.l_max - l) for l, d in spectrum.degeneracy.items())
+        return _fold(spectrum, n_symbols, kraft=(scaled**n_symbols, hi - lo))
+    if not lo <= total_bits <= hi:
+        raise _unachievable(total_bits, (lo, hi))
+    return _fold(spectrum, n_symbols, centre=total_bits - lo)
+
+
+def _fold(spectrum: LengthSpectrum, n_symbols: int, **stop) -> LogEnsembleTable:
+    """Miller's counts folded by _log2_counts, stopped as stop says, with the peak found."""
+    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols), **stop)
+    table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
     table._peak = peak
     return table
 
@@ -373,8 +379,13 @@ def _cell(table: LogEnsembleTable, total_bits: int) -> int:
         return i
     log2, offset = table._log2, table.offset
     lo, hi = _nearest(log2, -1, 1), _nearest(log2, len(log2), -1)
-    where = f"achievable range {offset + lo}..{offset + hi}" if lo >= 0 else _EMPTY
-    raise UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")
+    raise _unachievable(total_bits, (offset + lo, offset + hi) if lo >= 0 else None)
+
+
+def _unachievable(total_bits: int, achievable: tuple[int, int] | None) -> UnachievableLengthError:
+    """_cell's refusal of total_bits: the achievable range (lo, hi), or None for an empty one."""
+    where = "achievable range {}..{}".format(*achievable) if achievable else _EMPTY
+    return UnachievableLengthError(f"no message encodes to {total_bits} bits ({where})")
 
 
 def _nearest(log2: array, i: int, step: int) -> int:

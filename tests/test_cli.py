@@ -571,6 +571,17 @@ def test_temperature_refuses_a_length_with_the_whole_tables_message(capsys, tmp_
     assert (rc, out, err) == (2 if n else 1, "", f"error: {refused.value}\n")
 
 
+@pytest.mark.parametrize("total", [5, 3 * 10**20])
+def test_temperature_refuses_a_length_outside_the_range_at_once(capsys, canon_path, total):
+    # at N = 10**20 the range 10**20..2*10**20 is known without a count,
+    # where folding the counts up to the top would never end
+    started = time.process_time()
+    rc, out, err = run(capsys, "temperature", "--code", canon_path, "-N", str(10**20), "-L", str(total))
+    assert time.process_time() - started < 1.0
+    where = f"achievable range {10**20}..{2 * 10**20}"
+    assert (rc, out, err) == (2, "", f"error: no message encodes to {total} bits ({where})\n")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize(
     "argv",

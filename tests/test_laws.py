@@ -33,6 +33,7 @@ from the exact rational sums of strategies.exact_stats.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -179,6 +180,24 @@ def test_messages_of_one_length_are_uniform_at_any_temperature(code, n, total):
     assert scipy.stats.chisquare(list(counts.values())).pvalue >= 0.001
 
 
+@pytest.mark.parametrize("n, total", [(16, 20), (10, 17)], ids=["beta-2.58", "beta-minus-0.22"])
+def test_repeated_messages_of_one_length_count_as_uniform_draws_do(n, total):
+    # k messages drawn uniformly from Omega repeat in k(k-1)/(2*Omega)
+    # pairs on average.  The pairs' indicators are pairwise uncorrelated
+    # (two pairs sharing a draw both repeat with probability Omega**-2),
+    # so the count's variance is exactly that mean times 1 - 1/Omega, and
+    # by Chebyshev's inequality it strays sqrt(1000) standard deviations
+    # from the mean with probability at most 1e-3, whatever k
+    spectrum = CANON.spectrum()
+    pmf = gibbs_state(spectrum, beta_for_mean_length(spectrum, total / n)).pmf_for(CANON)
+    report = sample_messages(CANON, pmf, n, 400_000, seed=20261021, focus_total=total)
+    counts = report.conditional_counts.values()
+    omega, k = count_messages(spectrum, n).count(total), sum(counts)
+    mean = k * (k - 1) / (2 * omega)
+    repeats = sum(c * (c - 1) // 2 for c in counts)
+    assert abs(repeats - mean) <= math.sqrt(1000 * mean * (1 - 1 / omega)), (repeats, mean)
+
+
 @cache
 def _counts(spectrum: LengthSpectrum, n: int):
     return count_messages(spectrum, n)
@@ -216,3 +235,30 @@ def test_first_codeword_tends_to_the_gibbs_law_as_one_over_n(beta):
     for n in (100, 400):
         ratio = distance(2 * n) / distance(n)
         assert 0.45 <= ratio <= 0.55, (n, ratio)
+
+
+@pytest.mark.parametrize(
+    "code, n, total",
+    [
+        (CANON, 16, 20),  # beta* = 2.58
+        (CANON, 10, 17),  # beta* = -0.22
+        (random_complete_code(16, 7), 6, 24),  # beta* = 0.46
+        (random_complete_code(16, 7), 6, 33),  # beta* = -0.83
+    ],
+)
+def test_sampled_first_codewords_follow_the_law(code, n, total):
+    # decode the first codeword of every message sampled at length L from
+    # the Gibbs law at beta*(L/N): its length follows
+    # d_l*Omega_(N-1)(L - l)/Omega_N(L), chi-square p >= 0.001
+    import scipy.stats
+
+    spectrum = code.spectrum()
+    pmf = gibbs_state(spectrum, beta_for_mean_length(spectrum, total / n)).pmf_for(code)
+    report = sample_messages(code, pmf, n, 100_000, seed=20261021, focus_total=total)
+    seen = Counter()
+    for bits, c in report.conditional_counts.items():
+        seen[code.length(code.decode(bits)[0])] += c
+    law, k = _first_length_law(spectrum, n, total), sum(seen.values())
+    observed, expected = zip(*((seen[l], float(p) * k) for l, p in law.items()))
+    assert min(expected) >= 5
+    assert scipy.stats.chisquare(observed, expected).pvalue >= 0.001

@@ -744,12 +744,7 @@ def test_float_table_keeps_the_float_rule():
     exact = EnsembleTable(2, 10, [2**60, 2**61 + 1])
     assert most_probable_length(exact) == 11
     floats = LogEnsembleTable(2, 10, exact.log2_array())
-    assert most_probable_length(floats) == numpy_most_probable(floats) == loop_most_probable(floats) == 10
-
-
-def numpy_most_probable(table: LogEnsembleTable) -> int:
-    arr = table.log2_array()
-    return table.offset + int(np.argmax(arr - (table.offset + np.arange(len(arr)))))
+    assert most_probable_length(floats) == loop_most_probable(floats) == 10
 
 
 def loop_most_probable(table: LogEnsembleTable) -> int:
@@ -769,15 +764,15 @@ def test_float_most_probable_length_is_numpys_argmax(spectrum, n):
     # the same IEEE subtraction and the same first-maximum rule, on the
     # sweep's rounded log2 counts: a table built from floats
     table = list(iter_log_tables(spectrum, n))[-1]
-    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table)
+    assert most_probable_length(table) == loop_most_probable(table)
 
 
 def test_float_most_probable_length_ties_go_low():
     # log2 count - L is -2 at every cell, so the first one wins
     table = LogEnsembleTable(2, 3, [1.0, 2.0, 3.0])
-    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table) == 3
+    assert most_probable_length(table) == loop_most_probable(table) == 3
     table = LogEnsembleTable(2, 3, [-math.inf, 2.0, 3.0, -math.inf])
-    assert most_probable_length(table) == numpy_most_probable(table) == loop_most_probable(table) == 4
+    assert most_probable_length(table) == loop_most_probable(table) == 4
 
 
 def test_most_probable_length_log_agrees_with_exact():
@@ -813,8 +808,8 @@ def _temperature_reading(table, total):
 
 
 def streamed_cells(monkeypatch, spectrum, n, total=None):
-    """The table the temperature command streams, and how many of Miller's
-    counts it took."""
+    """The table the temperature command streams, or the message it is
+    refused with, and how many of Miller's counts it took."""
     taken = []
     miller = microcanonical._miller
 
@@ -823,9 +818,12 @@ def streamed_cells(monkeypatch, spectrum, n, total=None):
             taken.append(c)
             yield c
 
-    monkeypatch.setattr(microcanonical, "_miller", counting)
-    table = microcanonical._log_table(spectrum, n, total, at_peak=total is None)
-    monkeypatch.setattr(microcanonical, "_miller", miller)
+    with monkeypatch.context() as patch:
+        patch.setattr(microcanonical, "_miller", counting)
+        try:
+            table = microcanonical._log_table(spectrum, n, total)
+        except UnachievableLengthError as exc:
+            table = str(exc)
     return table, len(taken)
 
 
@@ -846,7 +844,11 @@ def test_the_streamed_table_reads_what_the_whole_table_reads(spectrum, n, where)
     span = spectrum.l_max - spectrum.l_min
     total = n * spectrum.l_min + math.floor(where * n * span)
     for at in (None, total):
-        table = microcanonical._log_table(spectrum, n, at, at_peak=at is None)
+        try:
+            table = microcanonical._log_table(spectrum, n, at)
+        except UnachievableLengthError as exc:  # -L outside the range: refused before the fold
+            assert (type(exc), str(exc)) == _temperature_reading(whole, at)
+            continue
         assert table.offset == whole.offset
         assert table._log2 == whole._log2[: len(table._log2)]
         assert _temperature_reading(table, at) == _temperature_reading(whole, at)
@@ -862,6 +864,20 @@ def test_a_zero_entropy_difference_streams_the_whole_table(monkeypatch):
     assert temperature_at(table, 80) == (math.inf, False)
     table, taken = streamed_cells(monkeypatch, spectrum, n, 84)
     assert taken == len(table._log2) == 84 - 40 + 3
+
+
+@pytest.mark.parametrize(
+    "spectrum, n", [(CANON_SP, 40), (random_complete_code(64, 3).spectrum(), 3000)], ids=["canon", "g64"]
+)
+def test_a_length_outside_the_range_folds_no_count(monkeypatch, spectrum, n):
+    # the range's ends hold d_min**N and d_max**N, never 0, so a -L below
+    # N*l_min or above N*l_max is refused before the first of Miller's
+    # counts (g64 has 33,001 at N = 3000), with the whole table's message
+    whole = count_messages_log(spectrum, n)
+    for total in (n * spectrum.l_min - 1, n * spectrum.l_max + 1):
+        with pytest.raises(UnachievableLengthError) as refused:
+            temperature_at(whole, total)
+        assert streamed_cells(monkeypatch, spectrum, n, total) == (str(refused.value), 0)
 
 
 def test_the_kraft_certificate_waits_for_a_heavier_later_cell():
@@ -995,6 +1011,18 @@ def replayed_messages(code, pmf, n, draws, seed) -> list[str]:
     return ["".join(words[i] for i in row) for row in rows.tolist()]
 
 
+def replayed_report(replay: list[str], n, focus_total=None) -> SampleReport:
+    """The report the sampler owes for the replayed draws."""
+    hits = Counter(bits for bits in replay if len(bits) == focus_total)
+    return SampleReport(
+        draws=len(replay),
+        n_symbols=n,
+        histogram=dict(sorted(Counter(map(len, replay)).items())),
+        focus_total=focus_total,
+        conditional_counts=dict(sorted(hits.items())) if focus_total is not None else None,
+    )
+
+
 def test_sampling_focus_tally_matches_per_row_counter():
     # one chunk of draws, replayed row by row through the same generator
     code = random_complete_code(6, 3)
@@ -1047,42 +1075,6 @@ def test_sampling_histogram_matches_replayed_row_sums(monkeypatch, cells):
     assert min(want) >= 2 * n and len(want) > 5
 
 
-def choice_sample(code, pmf, n_symbols, draws, seed, focus_total=None) -> SampleReport:
-    """The sampler as it drew with rng.choice, one int64 symbol array a
-    piece, every symbol kept when focusing: its oracle."""
-    rng = np.random.default_rng(seed)
-    words = [code.codeword(s) for s in code.symbols]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    probs = np.array([float(p) for _, p in pmf.items()], dtype=np.float64)
-    probs = probs / probs.sum()
-    narrow = np.min_scalar_type(len(words) - 1)
-    row_key = np.dtype((np.void, narrow.itemsize * n_symbols))
-    hist: Counter[int] = Counter()
-    keys: Counter[bytes] = Counter()
-    chunk = microcanonical._SAMPLE_CHUNK_CELLS
-    block = max(1, chunk // n_symbols)
-    for done in range(0, draws, block):
-        m = min(block, draws - done)
-        totals = np.zeros(m, dtype=np.int64)
-        parts = []
-        for col in range(0, n_symbols, chunk):
-            idx = rng.choice(len(words), size=(m, min(chunk, n_symbols - col)), p=probs)
-            totals += lengths[idx].sum(axis=1)
-            if focus_total is not None:
-                parts.append(idx.astype(narrow))
-        hist.update(totals.tolist())
-        if focus_total is not None and (hit := totals == focus_total).any():
-            keys.update(np.concatenate(parts, axis=1)[hit].view(row_key).ravel().tolist())
-    bits = ("".join([words[i] for i in np.frombuffer(k, dtype=narrow).tolist()]) for k in keys)
-    return SampleReport(
-        draws=draws,
-        n_symbols=n_symbols,
-        histogram=dict(sorted(hist.items())),
-        focus_total=focus_total,
-        conditional_counts=dict(sorted(zip(bits, keys.values()))) if focus_total is not None else None,
-    )
-
-
 # lengths 1, 3, 2, 3 in document order: four runs of one length
 ALTERNATING = Code({"a": "0", "b": "100", "c": "11", "d": "101"})
 
@@ -1104,14 +1096,16 @@ ALTERNATING = Code({"a": "0", "b": "100", "c": "11", "d": "101"})
 @pytest.mark.parametrize("seed", [1, 7, 20260819])
 def test_sampler_matches_the_choice_oracle(code, pmf, n, draws, seed):
     # the uniforms map to lengths through the run ends and to symbols only
-    # at the hits, so the stream, the histogram and the focused messages
-    # are rng.choice's; the focus is the most frequent total, so it hits
+    # at the hits, so the histogram and the focused messages are those of
+    # one rng.choice over all the draws; the focus is the most frequent
+    # total, so it hits
     pmf = pmf or dyadic_pmf(code)
+    replay = replayed_messages(code, pmf, n, draws, seed)
     report = sample_messages(code, pmf, n, draws, seed)
-    assert report == choice_sample(code, pmf, n, draws, seed)
+    assert report == replayed_report(replay, n)
     focus = max(report.histogram, key=report.histogram.get)
     focused = sample_messages(code, pmf, n, draws, seed, focus_total=focus)
-    assert focused == choice_sample(code, pmf, n, draws, seed, focus_total=focus)
+    assert focused == replayed_report(replay, n, focus)
     assert focused.histogram == report.histogram and focused.conditional_counts
 
 

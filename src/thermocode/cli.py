@@ -106,8 +106,19 @@ def _load_code(path: str) -> tuple[Code, Pmf | None]:
         return _self.parse_code(file.read())
 
 
-def _int_total(value: float, what: str = "-L") -> int:
-    if not math.isfinite(value) or value != int(value):
+def _length(text: str) -> int | float:
+    """An integer literal exactly (a float rounds past 2**53), else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:  # argparse's refusal of a float, byte for byte
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _int_total(value: int | float, what: str = "-L") -> int:
+    if isinstance(value, float) and not value.is_integer():  # fractional, inf or nan
         raise UnachievableLengthError(f"{what} must be an integer number of bits, got {value}")
     return int(value)
 
@@ -192,7 +203,7 @@ def _cmd_omega(args):
 def _cmd_temperature(args):
     # S and T read only log2 counts, and the log table keeps the exact L*,
     # so --mode exact and --mode log run this one path; it folds Miller's
-    # counts only until L* is certified and the cell past L* (or -L) is in
+    # counts only until L* is certified and span cells past L* (or -L) are in
     code, _ = _load_code(args.code)
     from .codes import _check_n_symbols
     from .microcanonical import _log_table
@@ -398,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, default=0.0, help="aggregate counts over [L, L+WINDOW] bits")
 
     p = command("temperature", _cmd_temperature, "entropy and discrete temperature in bits, at -L or at the most probable length", n_symbols=True)
-    p.add_argument("-L", dest="total_bits", type=float, help="total coded length in bits")
+    p.add_argument("-L", dest="total_bits", type=_length, help="total coded length in bits")
     _add_mode(p, "exact or log: both give the same answer, from the log2 table and its exact L*")
 
     p = command("gibbs", _cmd_gibbs, "canonical state at one beta or temperature, as CSV")
@@ -422,13 +433,13 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", default="-5:5:201", metavar="LO:HI:COUNT", help="beta sample grid (default -5:5:201; beta=1 is always added)")
 
     p = command("prefixes", _cmd_prefixes, "exact distinct n-bit prefix counts of the fixed-length message set, as CSV", n_symbols=True)
-    p.add_argument("-L", dest="total_bits", type=float, required=True, help="total coded length in bits")
+    p.add_argument("-L", dest="total_bits", type=_length, required=True, help="total coded length in bits")
     p.add_argument("--n-max", dest="n_max", type=int, help="largest prefix length to count (default: L)")
 
     p = command("sample", _cmd_sample, "Monte Carlo draws of coded messages; length histogram as CSV", n_symbols=True)
     p.add_argument("--draws", type=int, required=True, help="number of messages to draw")
     p.add_argument("--seed", type=int, required=True, help="PRNG seed (PCG64)")
-    p.add_argument("--focus-L", dest="focus_L", type=float, help="record every drawn message of this total length in bits")
+    p.add_argument("--focus-L", dest="focus_L", type=_length, help="record every drawn message of this total length in bits")
 
     p = command("gen", _cmd_gen, "generate a random complete code document (uniform leaf splitting)", code=False)
     p.add_argument("--leaves", type=int, required=True, help="number of codewords, at least 2")

@@ -24,7 +24,7 @@ import math
 from array import array
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -62,32 +62,23 @@ def _index(table: LogEnsembleTable, total_bits: int) -> int:
     return int(i) if 0 <= i < len(table._log2) and i == int(i) else -1
 
 
-def _log2_counts(
-    counts: Iterable[int], centre: int | None = None, kraft: tuple[int, int] | None = None
-) -> tuple[array, int | None]:
+def _log2_counts(counts: Iterable[int], kraft: tuple[int, int, int] | None = None) -> tuple[array, int | None]:
     """math.log2 of each exact count as float64, -inf for 0, and the index
     of the first count maximizing count * 2**-index (None if every count is
     0).  A count's bit length minus its index orders the weights but for
     near-ties, which compare exactly: c > best << (i - peak).
 
-    Given a centre index (_log_table's integer total_bits), the fold stops
-    at the first achievable cell past it, as the temperature at the centre
-    then reads only cells already folded; it folds on to the end when the
-    centre is unachievable (a gap inside N*l_min..N*l_max, so _cell's
-    refusal sees the whole range) or the entropy is the same on both sides
-    of it (so _slope finds the peak of the whole table).
-
-    Given kraft = (total, top) (_log_table's None), total =
-    sum_i count_i * 2**(top - i) over all the cells and top the last index
-    (for Miller's counts, the code's Kraft sum times 2**l_max, to the power
-    N), the peak becomes the centre once it is certified final, checked
-    every 64 cells: once its weight is at least the weight still to come,
-    no later count outweighs it, and a tie goes to the first.
+    Given kraft = (total, top, reach), total = sum_i count_i * 2**(top - i)
+    over all the cells and top the last index (for Miller's counts, the
+    code's Kraft sum times 2**l_max, to the power N), the fold checks every
+    64 cells whether the peak weighs at least the weight still to come.
+    Then no later count outweighs it (a tie goes to the first), and the
+    fold ends reach cells past the peak, or at once if it is past them.
     """
     log2 = array("d")
     peak, best, key = None, 0, -math.inf
-    total, top = kraft or (0, 0)
-    mass = 0  # sum of the counts so far, count_i * 2**(i_now - i)
+    total, top, reach = kraft or (0, 0, 0)
+    mass, stop = 0, -1  # mass: sum of the counts so far, count_i * 2**(i_now - i)
     for i, c in enumerate(counts):
         if c:
             log2.append(math.log2(c))
@@ -99,12 +90,9 @@ def _log2_counts(
         if kraft:
             mass = 2 * mass + c
             if i & 63 == 63 and (best << (top - peak)) + (mass << (top - i)) >= total:
-                kraft, centre = None, peak
-        if centre is not None and 0 <= centre < i and (hi := _nearest(log2, centre, 1)) > centre:
-            lo = _nearest(log2, centre, -1)
-            if log2[centre] > -math.inf and log2[hi] != log2[lo]:
-                break
-            centre = None
+                kraft, stop = None, max(i, peak + reach)
+        if i == stop:
+            break
     return log2, peak
 
 
@@ -298,31 +286,42 @@ def count_messages_log(spectrum: LengthSpectrum, n_symbols: int) -> LogEnsembleT
     probable length found exactly from the counts as they passed, so
     most_probable_length gives count_messages' answer.
     """
-    return _fold(spectrum, n_symbols)
+    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols))
+    table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
+    table._peak = peak
+    return table
 
 
 def _log_table(spectrum: LengthSpectrum, n_symbols: int, total_bits: int | None) -> LogEnsembleTable:
     """The first cells of count_messages_log's table that one temperature
-    reads: at the most probable length, certified final, for None (the peak
-    is final); at total_bits for an integer (the peak is partial).  A
-    total_bits outside N*l_min..N*l_max, whose end counts d_min**N and
-    d_max**N are never 0, is refused before any count is folded, with the
-    message _cell gives on the whole table."""
+    reads, at the most probable length for None (its peak, final, kept) or
+    at total_bits (no peak kept).  An achievable length's nearest
+    achievable neighbours lie within span = l_max - l_min of it (raise one
+    codeword shorter than l_max to l_max, or lower one longer than l_min),
+    so the fold ends span cells past the centre.  A total_bits outside
+    N*l_min..N*l_max (the end counts d_min**N and d_max**N are never 0) is
+    refused before any count is folded, one in a gap there once its count
+    is, both with the message _cell gives on the whole table.  Equal
+    entropies at the two neighbours fold in the rest of the stream, log2
+    values only, for _slope to find the whole table's first maximum."""
     _check_n_symbols(n_symbols)
     lo, hi = n_symbols * spectrum.l_min, n_symbols * spectrum.l_max
+    span = spectrum.l_max - spectrum.l_min
+    stream = _miller(spectrum, n_symbols)
     if total_bits is None:
         scaled = sum(d << (spectrum.l_max - l) for l, d in spectrum.degeneracy.items())
-        return _fold(spectrum, n_symbols, kraft=(scaled**n_symbols, hi - lo))
-    if not lo <= total_bits <= hi:
+        log2_counts, centre = _log2_counts(stream, kraft=(scaled**n_symbols, hi - lo, span))
+    elif not lo <= total_bits <= hi:
         raise _unachievable(total_bits, (lo, hi))
-    return _fold(spectrum, n_symbols, centre=total_bits - lo)
-
-
-def _fold(spectrum: LengthSpectrum, n_symbols: int, **stop) -> LogEnsembleTable:
-    """Miller's counts folded by _log2_counts, stopped as stop says, with the peak found."""
-    log2_counts, peak = _log2_counts(_miller(spectrum, n_symbols), **stop)
-    table = LogEnsembleTable(n_symbols, n_symbols * spectrum.l_min, log2_counts)
-    table._peak = peak
+    else:
+        centre = total_bits - lo
+        log2_counts = _log2_counts(islice(stream, centre + span + 1))[0]
+        if log2_counts[centre] == -math.inf:
+            raise _unachievable(total_bits, (lo, hi))
+    if log2_counts[_nearest(log2_counts, centre, -1)] == log2_counts[_nearest(log2_counts, centre, 1)]:
+        log2_counts += _log2_counts(stream)[0]  # the rest's peak is unused
+    table = LogEnsembleTable(n_symbols, lo, log2_counts)
+    table._peak = centre if total_bits is None else None
     return table
 
 

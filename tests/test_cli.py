@@ -571,15 +571,44 @@ def test_temperature_refuses_a_length_with_the_whole_tables_message(capsys, tmp_
     assert (rc, out, err) == (2 if n else 1, "", f"error: {refused.value}\n")
 
 
-@pytest.mark.parametrize("total", [5, 3 * 10**20])
+@pytest.mark.parametrize("total", [5, 3 * 10**20, 2 * 10**20 + 1])
 def test_temperature_refuses_a_length_outside_the_range_at_once(capsys, canon_path, total):
     # at N = 10**20 the range 10**20..2*10**20 is known without a count,
-    # where folding the counts up to the top would never end
+    # where folding the counts up to the top would never end; 2*10**20 + 1
+    # is read exactly, where a float rounds it to the top of the range
     started = time.process_time()
     rc, out, err = run(capsys, "temperature", "--code", canon_path, "-N", str(10**20), "-L", str(total))
     assert time.process_time() - started < 1.0
     where = f"achievable range {10**20}..{2 * 10**20}"
     assert (rc, out, err) == (2, "", f"error: no message encodes to {total} bits ({where})\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("temperature", "--code", "c", "-N", "2", "-L", "@value"),
+        ("prefixes", "--code", "c", "-N", "2", "-L", "@value"),
+        ("sample", "--code", "c", "-N", "2", "--draws", "1", "--seed", "1", "--focus-L", "@value"),
+    ],
+    ids=["temperature", "prefixes", "sample"],
+)
+def test_an_integer_length_is_parsed_exactly(capsys, argv):
+    # an integer literal keeps every digit past 2**53 (Python compares an
+    # int with a float exactly); anything else is a float, refused with
+    # argparse's own bytes when it is not a number
+    dest = "focus_L" if argv[0] == "sample" else "total_bits"
+
+    def parsed(value):
+        return getattr(build_parser().parse_args([value if a == "@value" else a for a in argv]), dest)
+
+    assert parsed(str(2**53 + 1)) == 2**53 + 1
+    assert parsed("2.5e1") == 25.0
+    flag = argv[argv.index("@value") - 1]
+    with pytest.raises(SystemExit) as info:
+        main(["ten" if a == "@value" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: invalid float value: 'ten'\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -1183,7 +1212,7 @@ _SUBCOMMANDS = {
     "temperature": ("entropy and discrete temperature in bits, at -L or at the most probable length",
                     "_cmd_temperature", [
         _HELP, _CODE, _N,
-        (("-L",), "total_bits", False, None, "float", None, None, "total coded length in bits"),
+        (("-L",), "total_bits", False, None, "_length", None, None, "total coded length in bits"),
         (("--mode",), "mode", False, "exact", None, ("exact", "log"), None,
          "exact or log: both give the same answer, from the log2 table and its exact L*"),
         _OUT,
@@ -1219,7 +1248,7 @@ _SUBCOMMANDS = {
     ]),
     "prefixes": ("exact distinct n-bit prefix counts of the fixed-length message set, as CSV", "_cmd_prefixes", [
         _HELP, _CODE, _N,
-        (("-L",), "total_bits", True, None, "float", None, None, "total coded length in bits"),
+        (("-L",), "total_bits", True, None, "_length", None, None, "total coded length in bits"),
         (("--n-max",), "n_max", False, None, "int", None, None, "largest prefix length to count (default: L)"),
         _OUT,
     ]),
@@ -1227,7 +1256,7 @@ _SUBCOMMANDS = {
         _HELP, _CODE, _N,
         (("--draws",), "draws", True, None, "int", None, None, "number of messages to draw"),
         (("--seed",), "seed", True, None, "int", None, None, "PRNG seed (PCG64)"),
-        (("--focus-L",), "focus_L", False, None, "float", None, None,
+        (("--focus-L",), "focus_L", False, None, "_length", None, None,
          "record every drawn message of this total length in bits"),
         _OUT,
     ]),

@@ -846,7 +846,7 @@ def test_the_streamed_table_reads_what_the_whole_table_reads(spectrum, n, where)
     for at in (None, total):
         try:
             table = microcanonical._log_table(spectrum, n, at)
-        except UnachievableLengthError as exc:  # -L outside the range: refused before the fold
+        except UnachievableLengthError as exc:  # -L outside the range or in a gap: refused by _log_table
             assert (type(exc), str(exc)) == _temperature_reading(whole, at)
             continue
         assert table.offset == whole.offset
@@ -880,18 +880,61 @@ def test_a_length_outside_the_range_folds_no_count(monkeypatch, spectrum, n):
         assert streamed_cells(monkeypatch, spectrum, n, total) == (str(refused.value), 0)
 
 
+@pytest.mark.parametrize("n, total, cells", [(3000, 9001, 3004), (10_000, 30_001, 10_004)])
+def test_a_length_in_a_gap_folds_span_counts_past_it(monkeypatch, n, total, cells):
+    # {2: 2, 4: 8} reaches only the even totals 2N..4N, so -L = 3N + 1 lies
+    # in a gap; it is refused once its cell and the span = 2 after it are
+    # folded (the whole table has 2N + 1), with the whole table's message
+    spectrum = LengthSpectrum({2: 2, 4: 8})
+    with pytest.raises(UnachievableLengthError) as refused:
+        temperature_at(count_messages_log(spectrum, n), total)
+    assert streamed_cells(monkeypatch, spectrum, n, total) == (str(refused.value), cells)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spectrum=kraft_spectra(), n=st.integers(1, 40))
+@example(spectrum=LengthSpectrum({1: 1, 9: 255, 11: 4}), n=40)  # near a sub-lattice
+@example(spectrum=LengthSpectrum({2: 2, 4: 8}), n=40)  # lattice step 2
+@example(spectrum=LengthSpectrum({3: 8}), n=7)  # one length
+@example(spectrum=LengthSpectrum({3: 8}), n=1)
+def test_achievable_lengths_lie_within_span_of_each_other(spectrum, n):
+    # what _log_table's stop rests on: the support runs from N*l_min to
+    # N*l_max, and raising one codeword shorter than l_max to l_max (or
+    # lowering one longer than l_min to l_min) moves a total by at most span
+    span = spectrum.l_max - spectrum.l_min
+    support = [total for total, _ in count_messages(spectrum, n).items()]
+    assert (support[0], support[-1]) == (n * spectrum.l_min, n * spectrum.l_max)
+    achievable, steps = set(support), range(1, span + 1)
+    for total in support:
+        assert total == support[-1] or any(total + k in achievable for k in steps)
+        assert total == support[0] or any(total - k in achievable for k in steps)
+
+
 def test_the_kraft_certificate_waits_for_a_heavier_later_cell():
     # cells 0..63 weigh one unit each, cell 100 ten: past cell 63 most of the
     # weight has passed, yet the rest could still (and does) outweigh the
     # peak so far, so the fold goes on to the true peak
-    top = 100
+    top, reach = 100, 1
     counts = [1 << i for i in range(64)] + [0] * 36 + [10 << top]
-    log2, peak = microcanonical._log2_counts(counts, kraft=(74 << top, top))
+    log2, peak = microcanonical._log2_counts(counts, kraft=(74 << top, top, reach))
     assert (peak, len(log2)) == (100, 101)
-    # a cell lighter than the first one ends the stream at the next check
+    # a cell lighter than the first one ends the stream at the next check,
+    # already more than reach cells past the peak
     counts[-1] = 1 << top
-    log2, peak = microcanonical._log2_counts(counts, kraft=(65 << top, top))
+    log2, peak = microcanonical._log2_counts(counts, kraft=(65 << top, top, reach))
     assert (peak, len(log2)) == (0, 64)
+
+
+@pytest.mark.parametrize("reach, cells", [(10, 71), (3, 64)])
+def test_the_fold_ends_reach_cells_past_the_certified_peak(reach, cells):
+    # all the weight sits in cell 60, so the first check, at cell 63,
+    # certifies it; the fold runs on to reach cells past it, where the
+    # peak's upper neighbour lies at the latest, or ends at once if that is
+    # behind it
+    top = 80
+    counts = [0] * 60 + [1] + [0] * (top - 60)
+    log2, peak = microcanonical._log2_counts(counts, kraft=(1 << (top - 60), top, reach))
+    assert (peak, len(log2)) == (60, cells)
 
 
 @pytest.mark.parametrize(
@@ -901,16 +944,18 @@ def test_the_temperature_stream_stops_soon_after_l_star(monkeypatch, spectrum, n
     # the Kraft-total certificate fires: L* sits 14 % (g64) and 50 % (canon)
     # into the N*span + 1 cells, and the stream ends a few standard
     # deviations of the total length past it, the cell after L* among them
-    cells = n * (spectrum.l_max - spectrum.l_min) + 1
+    span = spectrum.l_max - spectrum.l_min
+    cells = n * span + 1
     table, taken = streamed_cells(monkeypatch, spectrum, n)
     lstar = most_probable_length(table) - table.offset
     assert lstar < taken - 1
     assert taken == len(table._log2) < share * cells
     assert most_probable_length(table) == most_probable_length(count_messages_log(spectrum, n))
-    # -L 30 % into the support: up to its upper neighbour only
+    # -L 30 % into the support: span cells past it, where its upper
+    # neighbour lies at the latest
     total = table.offset + (cells - 1) * 3 // 10
     table, taken = streamed_cells(monkeypatch, spectrum, n, total)
-    assert taken == len(table._log2) == total - table.offset + 2
+    assert taken == len(table._log2) == total - table.offset + span + 1
 
 
 # ---------------------------------------------------------------------------
